@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Compare benchmark results of a parent commit and a change.
 
-Collect paired runs, alternating which side goes first in each pair, with
-this checkout's benchmark code measuring both source trees:
+Collect ten paired runs (seeds 1 to 10) at the benchmark's run length,
+alternating which side goes first in each pair, with this checkout's
+benchmark code measuring both source trees:
 
     python3 perfbench/compare.py collect --parent ../parent --change . \\
-        --workload fpu-chain --pairs 10 --out results/
+        --workload fpu-chain --out results/
 
 Then report one row per workload and end-to-end metric:
 
@@ -15,12 +16,17 @@ Each row gives both sides' median and quartiles, the pair wins of the change
 (runs paired by seed; ties count for neither side), the parent's own spread
 (Q3 - Q1) and a verdict against the metric's bound in BENCHMARK.json:
 
-* improved   -- the change wins at least 9 of 10 pairs and the medians differ
-                by more than the parent's spread;
+* improved   -- there are at least 10 pairs, the change wins at least 9 in 10
+                of them, and the medians differ by more than the parent's
+                spread;
 * worse      -- the change's median exceeds the parent's by more than the bound;
 * unresolved -- the parent's spread is wider than the bound, and not every
                 run of the change beats every run of the parent;
 * unchanged  -- otherwise.
+
+Pair wins mean something only for runs that ``collect`` made in alternating
+order.  Runs saved at another time (such as ``baseline/``) give medians and
+quartiles to compare with, but no pairs: do not read wins from them.
 
 Traced runs (``--trace 1``) are checked for count metrics that differ between
 repeats of the same seed on the same side; those must repeat exactly.
@@ -37,7 +43,11 @@ from collections import defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+BENCHMARK = HERE.parent / "BENCHMARK.json"
 EXACT_UNITS = ("count", "bytes")
+# Pairs needed before a gain can be claimed, and traced runs per side.
+MIN_PAIRS = 10
+TRACED_RUNS = 2
 
 
 def load(directory: Path) -> list[dict]:
@@ -65,7 +75,7 @@ def verdict(parent: list[float], change: list[float], pairs: list[tuple[float, f
     all_better = all(_better(c, p, lower_is_better) for c in change for p in parent)
     if worse_by > bound:
         v = "worse"
-    elif pairs and wins >= 0.9 * len(pairs) and sign * (p_med - c_med) > spread:
+    elif len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs) and sign * (p_med - c_med) > spread:
         v = "improved"
     elif spread > bound * abs(p_med) and not all_better:
         v = "unresolved"
@@ -109,7 +119,7 @@ def count_mismatches(records: list[dict]) -> list[str]:
 
 
 def report(args) -> int:
-    bench = json.loads(Path(args.benchmark).read_text())
+    bench = json.loads(BENCHMARK.read_text())
     parent, change = load(Path(args.parent)), load(Path(args.change))
     p_runs, c_runs = _by_workload(parent, 0), _by_workload(change, 0)
     print("| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
@@ -148,24 +158,21 @@ def report(args) -> int:
 
 def collect(args) -> int:
     out = Path(args.out)
-    if args.seconds is None:
-        args.seconds = json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
-    for i in range(args.pairs):
-        seed = args.seed0 + i
+    for i in range(MIN_PAIRS):
+        seed = 1 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            _run(sides[side], out / side, args.workload, seed, args.seconds, 0)
+            _run(sides[side], out / side, args.workload, seed, 0)
     for side in ("parent", "change"):
-        for _ in range(args.traced):
-            _run(sides[side], out / side, args.workload, args.seed0, args.seconds, 1)
+        for _ in range(TRACED_RUNS):
+            _run(sides[side], out / side, args.workload, 1, 1)
     return 0
 
 
-def _run(root: Path, save: Path, workload: str, seed: int, seconds: float, trace: int):
+def _run(root: Path, save: Path, workload: str, seed: int, trace: int):
     cmd = [sys.executable, str(HERE / "run.py"), "--root", str(root), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-           "--save", str(save)]
+           "--seed", str(seed), "--trace", str(trace), "--save", str(save)]
     print(" ".join(cmd[1:]), file=sys.stderr)
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
 
@@ -176,16 +183,10 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("report", help="compare two directories of saved results")
     p_rep.add_argument("parent")
     p_rep.add_argument("change")
-    p_rep.add_argument("--benchmark", default=str(HERE.parent / "BENCHMARK.json"))
     p_col = sub.add_parser("collect", help="run alternating pairs on two checkouts")
     p_col.add_argument("--parent", required=True, help="root of the parent checkout")
     p_col.add_argument("--change", required=True, help="root of the changed checkout")
     p_col.add_argument("--workload", required=True)
-    p_col.add_argument("--pairs", type=int, default=10)
-    p_col.add_argument("--seed0", type=int, default=1)
-    p_col.add_argument("--seconds", type=float, default=None,
-                       help="run length (default: run_seconds of BENCHMARK.json)")
-    p_col.add_argument("--traced", type=int, default=2, help="traced runs per side")
     p_col.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     return report(args) if args.command == "report" else collect(args)

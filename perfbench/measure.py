@@ -26,7 +26,7 @@ import numpy as np
 from trigcolloc import cli, coeffs, integrator, lagrange, problems, stability
 
 import spans
-from speed import Bracket
+from speed import kernel
 
 # The modules whose attributes spans.TARGETS wraps.
 MODULES = {
@@ -157,10 +157,9 @@ class StabilityScan(CliWorkload):
         self.singular = 0
 
     def setup(self):
-        # What a scan needs per V before any z: the table of the 1x1 test
-        # equation q'' + V q = 0 at h = 1, here at the top of the window.
-        ns = lagrange.gauss2()
-        return coeffs.build_table(ns, np.array([[self.inputs["v_range"][1]]]), 1.0)
+        # What a scan row pays before its z loop: the scalar data of one V
+        # (here the top of the window) and one assembled matrix.
+        return stability.stability_matrix(lagrange.gauss2(), self.inputs["v_range"][1], 0.0)
 
     def check_csv(self, data: bytes) -> None:
         n_v, n_z = self.inputs["grid"]
@@ -182,7 +181,7 @@ class StabilityScan(CliWorkload):
 
     def sizes(self) -> dict:
         n_v, n_z = self.inputs["grid"]
-        return {"d": 1, "scan_points": n_v * n_z}
+        return {"d": 1, "scan_points": n_v * n_z, "table_bytes": 0}
 
 
 def make_workload(inputs: dict, tmpdir: Path):
@@ -203,7 +202,6 @@ class Runner:
         self.wl = wl
         self.attempted = 0
         self.failed = 0
-        self.kernel_times: list[float] = []
 
     def attempt(self):
         """Seconds the operation took, or None if it failed."""
@@ -222,13 +220,12 @@ class Runner:
         return elapsed
 
     def loop(self, seconds: float, min_ops: int, max_ops: int | None = None, after=None):
-        """Seconds at the nominal speed of the operations that succeeded, and raw.
+        """Seconds taken by each operation that succeeded.
 
         ``after(n)`` runs after operation n; its time is not part of the
         ``seconds`` budget.
         """
-        times, raw = [], []
-        bracket = Bracket()
+        times = []
         budget_end = time.perf_counter() + seconds
         n = 0
         last = 0.0
@@ -239,64 +236,53 @@ class Runner:
             t0 = time.perf_counter()
             dt = self.attempt()
             if dt is not None:
-                times.append(bracket.scale(dt))
-                raw.append(dt)
+                times.append(dt)
             last = time.perf_counter() - t0
             if after is not None:
                 t1 = time.perf_counter()
                 after(n)
                 budget_end += time.perf_counter() - t1
-            if dt is None or after is not None:
-                bracket.restart()
             n += 1
-        self.kernel_times.extend(bracket.kernel_times)
-        return times, raw
+        return times
 
 
-class ImportProbes:
-    """Times ``import trigcolloc.cli`` in fresh interpreters, one after each
-    operation rather than back to back, so one slow phase of the machine does
-    not set all of them."""
+class Interleaved:
+    """``count`` samples of ``sample()``, one after each timed operation
+    rather than back to back, so that one slow phase of the machine does not
+    set all of them; ``finish`` takes any still missing."""
 
-    def __init__(self, cfg: dict, count: int):
-        self.cfg = {"mode": "import", "src": cfg["src"]}
+    def __init__(self, sample, count: int):
+        self.sample = sample
         self.count = count
         self.samples: list[float] = []
-        self.raw: list[float] = []
-
-    def probe(self) -> None:
-        proc = subprocess.run(
-            [sys.executable, str(Path(__file__).with_name("worker.py"))],
-            input=json.dumps(self.cfg), capture_output=True, text=True, timeout=60,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(f"import probe exited with {proc.returncode}: {proc.stderr}")
-        got = json.loads(proc.stdout.strip().splitlines()[-1])
-        self.samples.append(got["import_s"])
-        self.raw.append(got["import_raw_s"])
 
     def after(self, n: int) -> None:
         if len(self.samples) < self.count:
-            self.probe()
+            self.samples.append(self.sample())
 
     def finish(self) -> None:
         while len(self.samples) < self.count:
-            self.probe()
+            self.samples.append(self.sample())
 
 
-def setup_samples(wl, batches: int, reps: int) -> tuple[list[float], list[float]]:
-    """Seconds per set-up at the nominal speed, and raw; each sample
-    averages ``reps`` set-ups."""
-    samples, raw = [], []
-    bracket = Bracket()
-    for _ in range(batches):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            wl.setup()
-        dt = (time.perf_counter() - t0) / reps
-        samples.append(bracket.scale(dt))
-        raw.append(dt)
-    return samples, raw
+def import_probe(src: str) -> float:
+    """Seconds to ``import trigcolloc.cli`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("worker.py"))],
+        input=json.dumps({"mode": "import", "src": src}),
+        capture_output=True, text=True, timeout=60,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"import probe exited with {proc.returncode}: {proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])["import_s"]
+
+
+def setup_batch(wl, reps: int) -> float:
+    """Seconds per set-up, averaged over ``reps`` set-ups."""
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        wl.setup()
+    return (time.perf_counter() - t0) / reps
 
 
 def _median(values) -> float:
@@ -360,7 +346,7 @@ def layer_metrics(summary: dict, op_extra: dict, s: int) -> dict:
 
 def _traced(wl, runner: Runner, cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     half = cfg["seconds"] / 2.0
-    plain, _ = runner.loop(half, MIN_TIMED_OPS)
+    plain = runner.loop(half, MIN_TIMED_OPS)
     originals = {(mod, attr): getattr(MODULES[mod], attr) for mod, attr, _ in spans.TARGETS}
     tracer = spans.Tracer()
     per_op = []
@@ -380,7 +366,7 @@ def _traced(wl, runner: Runner, cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     tracer.install(MODULES)
     wl.trace_targets(tracer)
     try:
-        traced, _ = runner.loop(half, MIN_TRACED_OPS, MAX_TRACED_OPS, after=harvest)
+        traced = runner.loop(half, MIN_TRACED_OPS, MAX_TRACED_OPS, after=harvest)
     finally:
         tracer.uninstall()
     problems_found = []
@@ -432,8 +418,9 @@ def run_workload(cfg: dict) -> dict:
         wl = make_workload(inputs, tmpdir)
         runner = Runner(wl)
         runner.attempt()  # warm-up: caches fill, lazy imports finish
-        table = wl.setup()
-        sizes = dict(wl.sizes(), table_bytes=spans.table_nbytes(table))
+        table = wl.setup()  # also warms the set-up path
+        sizes = wl.sizes()
+        sizes.setdefault("table_bytes", spans.table_nbytes(table))
         result = {"sizes": sizes, "versions": _manifest_versions()}
         if cfg["trace"]:
             metrics, detail = _traced(wl, runner, cfg, out_dir)
@@ -443,30 +430,35 @@ def run_workload(cfg: dict) -> dict:
                 print(f"trace self-check: {p}", file=sys.stderr)
         else:
             batches, reps = cfg["setup"]
-            setup, setup_raw = setup_samples(wl, batches, reps)
-            probes = ImportProbes(cfg, cfg["import_probes"])
+            setup = Interleaved(lambda: setup_batch(wl, reps), batches)
+            probes = Interleaved(lambda: import_probe(cfg["src"]), cfg["import_probes"])
+            speed = Interleaved(kernel, batches)
+            samplers = (setup, speed, probes)
+
+            def after(n: int) -> None:
+                for sampler in samplers:
+                    sampler.after(n)
+
             start = time.perf_counter()
-            times, raw = runner.loop(cfg["seconds"], MIN_TIMED_OPS, after=probes.after)
-            probes.finish()
+            times = runner.loop(cfg["seconds"], MIN_TIMED_OPS, after=after)
+            for sampler in samplers:
+                sampler.finish()
             if not times:  # every operation failed; the run reports correct = false
-                times = raw = [(time.perf_counter() - start) / runner.attempted]
+                times = [(time.perf_counter() - start) / runner.attempted]
             metrics = {
                 "wall_s": (_median(times), "s"),
-                "setup_s": (_median(setup), "s"),
+                "setup_s": (_median(setup.samples), "s"),
                 "energy_drift_raw": (wl.drift, "1"),
             }
             result["detail"] = {
                 "wall_samples": len(times),
                 "wall_s_q1_q3": [float(np.percentile(times, 25)),
                                  float(np.percentile(times, 75))],
-                "wall_s_raw_median": _median(raw),
-                "setup_samples": len(setup),
+                "setup_samples": len(setup.samples),
                 "setup_reps_per_sample": reps,
-                "setup_s_raw_median": _median(setup_raw),
-                "kernel_s_median": _median(runner.kernel_times),
+                "kernel_s_median": _median(speed.samples),
             }
             result["import_probes"] = probes.samples
-            result["import_probes_raw"] = probes.raw
             correct_extra = True
         result["metrics"] = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
         result["attempted"] = runner.attempted

@@ -37,12 +37,13 @@ sys.path.insert(0, str(HERE))
 from workloads import DEFAULT_SEED, HELD_OUT_SEED, WORKLOADS, make_inputs  # noqa: E402
 
 # Per workload (batches, reps): each set-up sample averages ``reps`` set-ups,
-# and setup_s is the median of ``batches`` samples.
+# and setup_s is the median of ``batches`` samples, one taken after each timed
+# operation.
 SETUP_SAMPLING = {
-    "fpu-chain": (9, 20),
+    "fpu-chain": (15, 40),
     "kg-lattice": (5, 1),
     "wave-convergence": (7, 1),
-    "stability-scan": (9, 100),
+    "stability-scan": (15, 100),
 }
 SMOKE_SETUP_SAMPLING = (2, 1)
 
@@ -70,6 +71,8 @@ LAYOUT_PINS = {"PYTHONHASHSEED": "0"}
 SETARCH = shutil.which("setarch")
 
 WORKER_TIMEOUT_S = 170.0
+
+RUN_SECONDS = json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 class BenchError(Exception):
@@ -155,7 +158,6 @@ def run(args) -> tuple[dict, dict]:
 
     metrics = {k: _metric(v["value"], v["unit"]) for k, v in res["metrics"].items()}
     imports = [res["import_s"]] + res.get("import_probes", [])
-    imports_raw = [res["import_raw_s"]] + res.get("import_probes_raw", [])
     if not args.trace:
         drift = metrics.pop("energy_drift_raw")["value"]
         metrics = {
@@ -193,7 +195,6 @@ def run(args) -> tuple[dict, dict]:
         "cpu_model": _cpu_model(),
         "sizes": res["sizes"],
         "import_samples": imports,
-        "import_raw_samples": imports_raw,
         "detail": res["detail"],
         "elapsed_s": time.monotonic() - t_start,
     }
@@ -204,8 +205,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=45.0,
-                        help="how long the timed loop runs")
+    parser.add_argument("--seconds", type=float, default=RUN_SECONDS,
+                        help="how long the timed loop runs (default: run_seconds "
+                             "of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--root", default=str(HERE.parent),
                         help="checkout whose src/ is measured (default: this one)")

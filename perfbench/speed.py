@@ -1,30 +1,18 @@
-"""A fixed reference kernel that measures how fast the machine runs.
+"""A fixed reference kernel: a diagnostic of how fast the machine ran.
 
-On a shared machine the CPU's speed moves by tens of percent, in bursts of
-well under a second and in phases of minutes (other tenants; CPU time tracks
-wall time, so nothing is stolen from the process itself).  A longer run does
-not average the phases out, so the worker brackets every timed sample with
-a few runs of this kernel and scales it as
-
-    sample * NOMINAL_S / median(kernel times just before and just after)
-
-that is, to seconds of a machine on which the kernel takes NOMINAL_S; time
-metrics are medians of scaled samples.  The
-kernel is plain Python (standard library only), so it can also run before the
-timed import, and it never changes with the program under test.
+On a shared machine the CPU's speed moves by several percent between runs
+(other tenants).  The worker runs this kernel after each timed operation and
+records the median of its times in the run manifest, so a reader can tell a
+slow run of the machine from a slow program.  The time metrics themselves are
+raw seconds; the kernel only explains them.  It is plain Python (standard
+library only) and never changes with the program under test.
 """
 
-import statistics
 import time
-
-# About the median time of ``kernel()`` on the machine the baseline was
-# measured on (2-core Intel Xeon, Python 3.11.7).  Any constant would do;
-# this one keeps reported values close to raw seconds there.
-NOMINAL_S = 0.01
 
 
 def kernel() -> float:
-    """Seconds taken by a fixed mix of interpreter work."""
+    """Seconds taken by a fixed mix of interpreter work (about 10-20 ms)."""
     t0 = time.perf_counter()
     acc = 0.0
     items = [float(i) for i in range(64)]
@@ -37,28 +25,3 @@ def kernel() -> float:
     if acc == -1.0:  # keeps the loop's result live
         print(acc)
     return time.perf_counter() - t0
-
-
-class Bracket:
-    """Scales consecutive samples, each by the kernel runs around it."""
-
-    def __init__(self, runs: int = 3):
-        self.runs = runs
-        self.before = self._measure()
-        self.kernel_times: list[float] = list(self.before)
-
-    def _measure(self) -> list[float]:
-        return [kernel() for _ in range(self.runs)]
-
-    def restart(self) -> None:
-        """Re-measure before a sample that does not directly follow the last."""
-        self.before = self._measure()
-        self.kernel_times.extend(self.before)
-
-    def scale(self, raw: float) -> float:
-        """Seconds at the nominal speed of a sample that just ended."""
-        after = self._measure()
-        self.kernel_times.extend(after)
-        factor = NOMINAL_S / statistics.median(self.before + after)
-        self.before = after
-        return raw * factor

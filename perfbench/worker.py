@@ -2,14 +2,15 @@
 
 Reads a JSON configuration on stdin (written by run.py) and prints one JSON
 object as the last line of stdout.  The first thing it does is time
-``import trigcolloc.cli``, so nothing but the standard library and the
-reference kernel may be imported before that.
+``import trigcolloc.cli``, so nothing but the standard library may be
+imported before that.
 
 With ``mode == "import"`` it only times the import.  Otherwise it runs a
 warm-up operation, then either
 
-* untraced: set-up samples, then timed operations for ``seconds`` with
-  import probes (fresh interpreters in ``mode == "import"``) between them; or
+* untraced: timed operations for ``seconds``, with set-up batches, import
+  probes (fresh interpreters in ``mode == "import"``) and runs of the
+  reference kernel between them; or
 * traced: untraced operations for half of ``seconds``, then traced ones,
   reporting per-layer numbers and the tracing overhead.
 
@@ -21,23 +22,18 @@ import json
 import sys
 import time
 
-from speed import Bracket, kernel
 
-
-def _timed_import() -> tuple[float, float]:
-    """Seconds to import the CLI: at the nominal speed, and raw."""
-    kernel()  # the first run warms the kernel's own code
-    bracket = Bracket()
+def _timed_import() -> float:
+    """Seconds to import the CLI."""
     t0 = time.perf_counter()
     import trigcolloc.cli  # noqa: F401
 
-    raw = time.perf_counter() - t0
-    return bracket.scale(raw), raw
+    return time.perf_counter() - t0
 
 
 def main() -> int:
     cfg = json.load(sys.stdin)
-    import_s, import_raw = _timed_import()
+    import_s = _timed_import()
     import trigcolloc
 
     src = cfg["src"]
@@ -46,13 +42,12 @@ def main() -> int:
               file=sys.stderr)
         return 3
     if cfg["mode"] == "import":
-        print(json.dumps({"import_s": import_s, "import_raw_s": import_raw}))
+        print(json.dumps({"import_s": import_s}))
         return 0
     from measure import run_workload
 
     result = run_workload(cfg)
     result["import_s"] = import_s
-    result["import_raw_s"] = import_raw
     print(json.dumps(result))
     return 0
 
