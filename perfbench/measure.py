@@ -15,6 +15,7 @@ import json
 import math
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,7 @@ import numpy as np
 from trigcolloc import cli, coeffs, integrator, lagrange, problems, stability
 
 import spans
-from speed import kernel
+from speed import NOMINAL_BLOCK_S, Bracket
 
 # The modules whose attributes spans.TARGETS wraps.
 MODULES = {
@@ -222,8 +223,8 @@ class Runner:
     def loop(self, seconds: float, min_ops: int, max_ops: int | None = None, after=None):
         """Seconds taken by each operation that succeeded.
 
-        ``after(n)`` runs after operation n; its time is not part of the
-        ``seconds`` budget.
+        ``after(n, dt)`` runs after operation n, which took ``dt`` seconds
+        (None if it failed); its time is not part of the ``seconds`` budget.
         """
         times = []
         budget_end = time.perf_counter() + seconds
@@ -240,33 +241,28 @@ class Runner:
             last = time.perf_counter() - t0
             if after is not None:
                 t1 = time.perf_counter()
-                after(n)
+                after(n, dt)
                 budget_end += time.perf_counter() - t1
             n += 1
         return times
 
 
-class Interleaved:
-    """``count`` samples of ``sample()``, one after each timed operation
-    rather than back to back, so that one slow phase of the machine does not
-    set all of them; ``finish`` takes any still missing."""
+class Samples:
+    """Raw and scaled seconds of one kind of timed sample."""
 
-    def __init__(self, sample, count: int):
-        self.sample = sample
-        self.count = count
-        self.samples: list[float] = []
+    def __init__(self):
+        self.raw: list[float] = []
+        self.scaled: list[float] = []
 
-    def after(self, n: int) -> None:
-        if len(self.samples) < self.count:
-            self.samples.append(self.sample())
-
-    def finish(self) -> None:
-        while len(self.samples) < self.count:
-            self.samples.append(self.sample())
+    def add(self, raw: float | None, scaled: float | None) -> None:
+        if raw is not None:
+            self.raw.append(raw)
+            self.scaled.append(scaled)
 
 
-def import_probe(src: str) -> float:
-    """Seconds to ``import trigcolloc.cli`` in a fresh interpreter."""
+def import_probe(src: str) -> tuple[float, float]:
+    """Seconds to ``import trigcolloc.cli`` in a fresh interpreter, raw and
+    scaled by reference blocks run in that interpreter right after it."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("worker.py"))],
         input=json.dumps({"mode": "import", "src": src}),
@@ -274,7 +270,8 @@ def import_probe(src: str) -> float:
     )
     if proc.returncode != 0:
         raise RuntimeError(f"import probe exited with {proc.returncode}: {proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])["import_s"]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    return res["import_s"], res["import_s"] * NOMINAL_BLOCK_S / statistics.mean(res["blocks"])
 
 
 def setup_batch(wl, reps: int) -> float:
@@ -352,7 +349,7 @@ def _traced(wl, runner: Runner, cfg: dict, out_dir: Path) -> tuple[dict, dict]:
     per_op = []
     n_stages = lagrange.gauss2().s
 
-    def harvest(op: int) -> None:
+    def harvest(op: int, dt) -> None:
         bufs = tracer.harvest(op)
         extra = {
             "table_bytes": max(tracer.table_bytes, default=0),
@@ -429,36 +426,52 @@ def run_workload(cfg: dict) -> dict:
             for p in detail["self_check_problems"]:
                 print(f"trace self-check: {p}", file=sys.stderr)
         else:
+            # Set-up batches and import probes are taken one after each timed
+            # operation rather than back to back, so that one slow phase of
+            # the machine does not set all of them.  Every operation and
+            # set-up batch sits between two reference blocks (speed.py); an
+            # import probe runs its blocks in its own interpreter.
             batches, reps = cfg["setup"]
-            setup = Interleaved(lambda: setup_batch(wl, reps), batches)
-            probes = Interleaved(lambda: import_probe(cfg["src"]), cfg["import_probes"])
-            speed = Interleaved(kernel, batches)
-            samplers = (setup, speed, probes)
+            bracket = Bracket()
+            wall, setup, probes = Samples(), Samples(), Samples()
 
-            def after(n: int) -> None:
-                for sampler in samplers:
-                    sampler.after(n)
+            def extras() -> None:
+                if len(setup.raw) < batches:
+                    dt = setup_batch(wl, reps)
+                    setup.add(dt, bracket.scale(dt))
+                if len(probes.raw) < cfg["import_probes"]:
+                    probes.add(*import_probe(cfg["src"]))
+                    bracket.restart()
+
+            def after(n: int, dt) -> None:
+                wall.add(dt, bracket.scale(dt))
+                extras()
 
             start = time.perf_counter()
-            times = runner.loop(cfg["seconds"], MIN_TIMED_OPS, after=after)
-            for sampler in samplers:
-                sampler.finish()
-            if not times:  # every operation failed; the run reports correct = false
-                times = [(time.perf_counter() - start) / runner.attempted]
+            runner.loop(cfg["seconds"], MIN_TIMED_OPS, after=after)
+            while len(setup.raw) < batches or len(probes.raw) < cfg["import_probes"]:
+                extras()
+            if not wall.scaled:  # every operation failed; the run reports correct = false
+                wall.scaled = [(time.perf_counter() - start) / runner.attempted]
             metrics = {
-                "wall_s": (_median(times), "s"),
-                "setup_s": (_median(setup.samples), "s"),
+                "wall_s": (_median(wall.scaled), "s"),
+                "setup_s": (_median(setup.scaled), "s"),
+                "import_s": (_median(probes.scaled), "s"),
                 "energy_drift_raw": (wl.drift, "1"),
             }
             result["detail"] = {
-                "wall_samples": len(times),
-                "wall_s_q1_q3": [float(np.percentile(times, 25)),
-                                 float(np.percentile(times, 75))],
-                "setup_samples": len(setup.samples),
+                "wall_samples": len(wall.scaled),
+                "wall_s_q1_q3": [float(np.percentile(wall.scaled, 25)),
+                                 float(np.percentile(wall.scaled, 75))],
+                "setup_samples": len(setup.scaled),
                 "setup_reps_per_sample": reps,
-                "kernel_s_median": _median(speed.samples),
+                "import_samples": len(probes.scaled),
+                "raw_wall_s": _median(wall.raw),
+                "raw_setup_s": _median(setup.raw),
+                "raw_import_s": _median(probes.raw),
+                "block_s_median": _median(bracket.blocks),
+                "blocks": len(bracket.blocks),
             }
-            result["import_probes"] = probes.samples
             correct_extra = True
         result["metrics"] = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
         result["attempted"] = runner.attempted

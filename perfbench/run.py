@@ -8,7 +8,8 @@ From the root of a checkout:
 The runner makes the workload's inputs from ``--seed``, starts one fresh
 worker interpreter on the checkout's ``src`` and waits for it (a closed loop:
 one operation at a time, no concurrency of its own).  With ``--trace 0`` the
-worker also times ``import trigcolloc.cli`` in more fresh interpreters.
+worker also times ``import trigcolloc.cli`` in more fresh interpreters, and
+reports every time in seconds of a machine of fixed speed (speed.py).
 
 Stdout ends with two JSON lines: the run manifest, then the result
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0`` reports the
@@ -25,7 +26,6 @@ import json
 import os
 import shutil
 import signal
-import statistics
 import subprocess
 import sys
 import time
@@ -47,8 +47,8 @@ SETUP_SAMPLING = {
 }
 SMOKE_SETUP_SAMPLING = (2, 1)
 
-# Fresh interpreters timing the import, besides the worker itself.
-IMPORT_PROBES = 12
+# Fresh interpreters timing the import.
+IMPORT_PROBES = 13
 
 # Below these values a metric is reported at the floor: energy drift under
 # 1e-9 is round-off, and no run attempts a million operations.  A floor keeps
@@ -152,18 +152,17 @@ def run(args) -> tuple[dict, dict]:
         "trace": bool(args.trace),
         "setup": SMOKE_SETUP_SAMPLING if args.smoke else SETUP_SAMPLING[args.workload],
         "verify_unwrap": args.smoke,
-        "import_probes": 0 if args.smoke else IMPORT_PROBES,
+        "import_probes": 1 if args.smoke else IMPORT_PROBES,
     }
     res = _worker(root, cfg)
 
     metrics = {k: _metric(v["value"], v["unit"]) for k, v in res["metrics"].items()}
-    imports = [res["import_s"]] + res.get("import_probes", [])
     if not args.trace:
         drift = metrics.pop("energy_drift_raw")["value"]
         metrics = {
             "wall_s": metrics["wall_s"],
             "setup_s": metrics["setup_s"],
-            "import_s": _metric(statistics.median(imports), "s"),
+            "import_s": metrics["import_s"],
             "peak_rss_mib": _metric(res["peak_rss_mib"], "MiB"),
             "energy_drift": _metric(max(drift, ENERGY_DRIFT_FLOOR), "1"),
             "failed_frac": _metric(
@@ -194,7 +193,7 @@ def run(args) -> tuple[dict, dict]:
         "usable_cpus": affinity,
         "cpu_model": _cpu_model(),
         "sizes": res["sizes"],
-        "import_samples": imports,
+        "worker_import_s": res["import_s"],
         "detail": res["detail"],
         "elapsed_s": time.monotonic() - t_start,
     }

@@ -5,12 +5,13 @@ object as the last line of stdout.  The first thing it does is time
 ``import trigcolloc.cli``, so nothing but the standard library may be
 imported before that.
 
-With ``mode == "import"`` it only times the import.  Otherwise it runs a
+With ``mode == "import"`` it only times the import and then runs two blocks
+of reference work (speed.py) to scale it by.  Otherwise it runs a
 warm-up operation, then either
 
-* untraced: timed operations for ``seconds``, with set-up batches, import
-  probes (fresh interpreters in ``mode == "import"``) and runs of the
-  reference kernel between them; or
+* untraced: timed operations for ``seconds``, with set-up batches and import
+  probes (fresh interpreters in ``mode == "import"``) between them, every
+  sample bracketed by blocks of reference work (speed.py); or
 * traced: untraced operations for half of ``seconds``, then traced ones,
   reporting per-layer numbers and the tracing overhead.
 
@@ -42,7 +43,9 @@ def main() -> int:
               file=sys.stderr)
         return 3
     if cfg["mode"] == "import":
-        print(json.dumps({"import_s": import_s}))
+        from speed import block
+
+        print(json.dumps({"import_s": import_s, "blocks": [block(), block()]}))
         return 0
     from measure import run_workload
 
