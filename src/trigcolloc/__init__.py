@@ -5,26 +5,18 @@ coefficients are trigonometric integrals of the basis polynomials.
 For linear problems (f = 0) the integrators are exact; for oscillatory
 nonlinear problems they keep the linear part exact and iterate only on
 the slow force.
+
+The names below are the user API.  Kernels and building blocks (weight
+kernels, phi-function pairs, basis evaluation, the single-step map)
+stay importable from their modules.
 """
 
-from .coeffs import (
-    CoefficientTable,
-    WeightKind,
-    build_table,
-    build_table_series,
-    build_table_spectral,
-    quadrature_weight,
-    recursion_weight,
-    scalar_weight,
-    series_weight,
-    zero_freq_weight,
-)
+from .coeffs import CoefficientTable, build_table
 from .errors import (
     AsymmetricMatrixError,
     ContractionGuardError,
     IndefiniteMatrixError,
     InvalidNodesError,
-    KernelBranchError,
     OracleUnreliableError,
     OutsidePeriodicityError,
     SeriesConvergenceError,
@@ -36,38 +28,17 @@ from .integrator import (
     OrderEstimate,
     OscillatoryIVP,
     SolverConfig,
-    StepResult,
     Trajectory,
-    check_contraction,
     estimate_order,
     reference_solve,
     solve,
-    step,
 )
-from .lagrange import (
-    NodeSet,
-    abs_weight_bound,
-    build_node_set,
-    eval_basis,
-    eval_basis_derivative,
-    gauss2,
-    gauss_nodes,
-    weighted_moment,
-)
-from .matfun import (
-    PhiPair,
-    SpectralDecomposition,
-    decompose_symmetric,
-    phi_pair_series,
-    phi_pair_spectral,
-    sinc,
-)
+from .lagrange import NodeSet, build_node_set, gauss2, gauss_nodes
 from .problems import PROBLEMS, ProblemSpec, build_problem
 from .stability import (
     StabilityMatrix,
     dispersion_dissipation,
     scan_region,
-    spectral_radius_2x2,
     stability_matrix,
 )
 
@@ -79,52 +50,29 @@ __all__ = [
     "ContractionGuardError",
     "IndefiniteMatrixError",
     "InvalidNodesError",
-    "KernelBranchError",
     "NodeSet",
     "OracleUnreliableError",
     "OrderEstimate",
     "OscillatoryIVP",
     "OutsidePeriodicityError",
     "PROBLEMS",
-    "PhiPair",
     "ProblemSpec",
     "SeriesConvergenceError",
     "SingularStageSystemError",
     "SolverConfig",
-    "SpectralDecomposition",
     "StabilityMatrix",
     "StageIterationError",
-    "StepResult",
     "Trajectory",
     "TrigCollocError",
-    "WeightKind",
-    "abs_weight_bound",
     "build_node_set",
     "build_problem",
     "build_table",
-    "build_table_series",
-    "build_table_spectral",
-    "check_contraction",
-    "decompose_symmetric",
     "dispersion_dissipation",
     "estimate_order",
-    "eval_basis",
-    "eval_basis_derivative",
     "gauss2",
     "gauss_nodes",
-    "phi_pair_series",
-    "phi_pair_spectral",
-    "quadrature_weight",
-    "recursion_weight",
     "reference_solve",
-    "scalar_weight",
     "scan_region",
-    "series_weight",
-    "sinc",
     "solve",
-    "spectral_radius_2x2",
     "stability_matrix",
-    "step",
-    "weighted_moment",
-    "zero_freq_weight",
 ]

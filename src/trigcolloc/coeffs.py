@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import lagrange as lg
 from .errors import KernelBranchError, SeriesConvergenceError
@@ -42,6 +41,7 @@ from .matfun import (
     PhiPair,
     SpectralDecomposition,
     decompose_symmetric,
+    is_symmetric,
     phi_pair_series,
     phi_pair_spectral,
     sinc,
@@ -184,6 +184,8 @@ def scalar_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=None) 
 
 def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None) -> float:
     """Adaptive-quadrature oracle for the defining integral at V = v >= 0."""
+    from scipy.integrate import quad  # slow to import; only the oracle needs it
+
     if v < 0.0:
         raise ValueError(f"squared frequency must be >= 0, got {v}")
     lam = math.sqrt(v)
@@ -349,11 +351,6 @@ def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> 
     M = np.asarray(M, dtype=float)
     if path not in ("auto", "spectral", "series"):
         raise ValueError(f"unknown path {path!r}")
-    if path == "series":
-        return build_table_series(ns, M, h)
-    if path == "spectral":
-        return build_table_spectral(ns, decompose_symmetric(M), h)
-    sym = np.abs(M - M.T).max() <= 1e-12 * max(1.0, np.abs(M).max())
-    if sym:
+    if path == "spectral" or (path == "auto" and is_symmetric(M)):
         return build_table_spectral(ns, decompose_symmetric(M), h)
     return build_table_series(ns, M, h)

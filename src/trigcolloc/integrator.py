@@ -9,7 +9,7 @@ with the q/p weight sums over stage forces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import (
     OracleUnreliableError,
     StageIterationError,
 )
+from .matfun import is_symmetric
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITER = 50
@@ -77,10 +78,8 @@ class OscillatoryIVP:
         return self.q0.size
 
     def coefficient_path(self) -> str:
-        if self.symmetric is None:
-            sym = np.abs(self.M - self.M.T).max() <= 1e-12 * max(1.0, np.abs(self.M).max())
-            return "spectral" if sym else "series"
-        return "spectral" if self.symmetric else "series"
+        sym = is_symmetric(self.M) if self.symmetric is None else self.symmetric
+        return "spectral" if sym else "series"
 
 
 @dataclass
@@ -89,7 +88,8 @@ class SolverConfig:
 
     iteration_mode "tolerance" sweeps until the stage residual falls below
     tol * (1 + stage norm) (at most max_iter sweeps, else failure);
-    "fixed" runs exactly max_iter sweeps with no convergence test.
+    "fixed" runs exactly max_iter sweeps with no convergence test.  In
+    both modes a non-finite residual fails at once.
     """
 
     h: float
@@ -157,7 +157,8 @@ def fixed_point_stages(
     """Solve the stage system; returns (stages, iterations, residual_history).
 
     The initial guess is the free-oscillation predictor
-    phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p.
+    phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p.  A sweep whose residual is
+    not finite raises StageIterationError with the residual history.
     """
     ns = table.node_set
     h = cfg.h
@@ -184,6 +185,13 @@ def fixed_point_stages(
         new = pred + np.einsum("ijkl,jl->ik", table.stage_update, forces)
         res = float(np.abs(new - stages).max())
         history.append(res)
+        if not math.isfinite(res):
+            raise StageIterationError(
+                f"stage residual is not finite at sweep {sweep}"
+                f" (residual history {', '.join(f'{r:.3g}' for r in history)})",
+                residual=res,
+                iterations=sweep,
+            )
         stages = new
         if not fixed_mode and res <= cfg.tol * (1.0 + np.abs(stages).max()):
             return stages, sweep, history
@@ -286,13 +294,7 @@ def solve(
             t_out[k], q_out[k], p_out[k] = t, q, p
             iters[k - 1], resid[k - 1] = r.iterations, r.residual
         if h_last:
-            cfg_last = SolverConfig(
-                h=h_last,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
-                iteration_mode=cfg.iteration_mode,
-                enforce_contraction_guard=cfg.enforce_contraction_guard,
-            )
+            cfg_last = replace(cfg, h=h_last)
             table_last = build_table(ns, ivp.M, h_last, path=path)
             r = step(table_last, ivp, t, q, p, cfg_last)
             k += 1

@@ -22,6 +22,9 @@ SERIES_NORM_GUARD = 30.0
 
 SERIES_MAX_TERMS = 200
 
+# Relative tolerance of the one symmetry test that picks the coefficient path.
+SYMMETRY_TOL = 1e-12
+
 # Taylor switchover for sin(x)/x.
 _SINC_SWITCH = 1e-4
 
@@ -102,21 +105,26 @@ def phi_pair_series(A: np.ndarray, tol: float = 1e-14, scale: float = 1.0) -> Ph
     )
 
 
-def decompose_symmetric(M: np.ndarray, sym_tol: float = 1e-12) -> SpectralDecomposition:
+def is_symmetric(M: np.ndarray) -> bool:
+    """max |M - M^T| within SYMMETRY_TOL relative to max(1, max |M|)."""
+    return bool(np.abs(M - M.T).max() <= SYMMETRY_TOL * max(1.0, np.abs(M).max()))
+
+
+def decompose_symmetric(M: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a symmetric PSD matrix into frequencies and transform.
 
     Eigenvalues in [-1e-10 * ||M||, 0) are clamped to zero; anything more
-    negative raises IndefiniteMatrixError.  Asymmetric input raises
-    AsymmetricMatrixError.
+    negative raises IndefiniteMatrixError.  Input that fails is_symmetric
+    raises AsymmetricMatrixError.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"square matrix required, got shape {M.shape}")
-    scale = np.abs(M).max()
-    if np.abs(M - M.T).max() > sym_tol * max(1.0, scale):
+    if not is_symmetric(M):
         raise AsymmetricMatrixError(
             "matrix is not symmetric; use the series coefficient path instead"
         )
+    scale = np.abs(M).max()
     w, Q = np.linalg.eigh(M)
     floor = -1e-10 * max(scale, 1e-300)
     if np.any(w < floor):

@@ -10,14 +10,16 @@ F1[i] = c_i phi1(c_i^2 V):
 
 The stage coupling enters N unscaled.  The integrator's stage system
 carries an extra c_i^2 factor on the coupling, so S reproduces the true
-one-step propagator exactly at z = 0 and to first order in z, and the
-two differ at O(z^2); the unscaled normalization is the one under which
-the dissipation and dispersion measures below have their quoted leading
-orders (zeta^4 and zeta^3).
+one-step propagator exactly at z = 0 and to first order in z; the two
+differ at O(z^2), which is not small at z = O(1).  The unscaled
+normalization is the one under which the dissipation and dispersion
+measures below have their quoted leading orders (zeta^4 and zeta^3).
 
-Spectral radii come from the closed-form 2x2 eigenvalues.  The scan
-orders points row-major in V then z and reuses the V-only scalar data
-across each row.
+S is evaluated one V at a time over a whole array of z: the V-only
+weights are computed once, the stage systems N(z) are solved as one
+stack, and points where N is numerically singular (condition number
+above 1e12) come back as NaN.  Spectral radii come from the closed-form
+2x2 eigenvalues.  The scan orders points row-major in V then z.
 """
 
 from __future__ import annotations
@@ -56,73 +58,65 @@ class StabilityMatrix:
         return spectral_radius_2x2(self.trace, self.det)
 
 
-def spectral_radius_2x2(trace: float, det: float) -> float:
-    """Largest eigenvalue magnitude of a real 2x2 matrix from (tr, det)."""
+def spectral_radius_2x2(trace, det):
+    """Largest eigenvalue magnitude of real 2x2 matrices from (tr, det).
+
+    Works elementwise on arrays; NaN inputs give NaN.
+    """
+    trace = np.asarray(trace, dtype=float)
+    det = np.asarray(det, dtype=float)
     disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        return max(abs(trace + r), abs(trace - r)) / 2.0
-    return math.sqrt(det)
+    r = np.sqrt(np.maximum(disc, 0.0))
+    real_pair = np.maximum(np.abs(trace + r), np.abs(trace - r)) / 2.0
+    # where disc < 0, det > tr^2 / 4 >= 0; abs() only quiets sqrt on the
+    # other rows.  A NaN disc takes real_pair, which keeps the NaN.
+    out = np.where(disc < 0.0, np.sqrt(np.abs(det)), real_pair)
+    return out[()] if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class _ScalarData:
-    """V-only ingredients of S, reusable across z."""
-
-    phi0: float
-    phi1: float
-    stage_phi0: np.ndarray
-    stage_phi1: np.ndarray
-    b_q: np.ndarray
-    b_p: np.ndarray
-    A: np.ndarray
-
-
-def _scalar_data(ns: lg.NodeSet, V: float) -> _ScalarData:
+def _stability_batch(ns: lg.NodeSet, V: float, zs: np.ndarray) -> np.ndarray:
+    """S(V, z) for every z in zs as an (n, 2, 2) array, NaN where N is singular."""
     if V < 0.0:
         raise ValueError(f"V must be >= 0, got {V}")
     lam = math.sqrt(V)
     c = ns.nodes
     s = ns.s
-    b_q = np.array([scalar_weight(ns, WeightKind.Q, j, lam) for j in range(s)])
-    b_p = np.array([scalar_weight(ns, WeightKind.P, j, lam) for j in range(s)])
+    b = np.array(
+        [
+            [scalar_weight(ns, kind, j, lam) for j in range(s)]
+            for kind in (WeightKind.Q, WeightKind.P)
+        ]
+    )
     A = np.array(
         [
             [scalar_weight(ns, WeightKind.STAGE, j, lam, i) for j in range(s)]
             for i in range(s)
         ]
     )
-    return _ScalarData(
-        phi0=math.cos(lam),
-        phi1=float(sinc(lam)),
-        stage_phi0=np.cos(c * lam),
-        stage_phi1=c * sinc(c * lam),
-        b_q=b_q,
-        b_p=b_p,
-        A=A,
-    )
-
-
-def _assemble(data: _ScalarData, V: float, z: float) -> StabilityMatrix:
-    N = np.eye(len(data.b_q)) + z * data.A
-    if np.linalg.cond(N) > 1.0 / _SINGULAR_RCOND:
-        raise SingularStageSystemError(
-            f"stage system singular at (V, z) = ({V:.6g}, {z:.6g})", V=V, z=z
-        )
-    y0 = np.linalg.solve(N, data.stage_phi0)
-    y1 = np.linalg.solve(N, data.stage_phi1)
-    S = np.array(
-        [
-            [data.phi0 - z * (data.b_q @ y0), data.phi1 - z * (data.b_q @ y1)],
-            [-V * data.phi1 - z * (data.b_p @ y0), data.phi0 - z * (data.b_p @ y1)],
-        ]
-    )
-    return StabilityMatrix(S=S)
+    phi0, phi1 = math.cos(lam), float(sinc(lam))
+    F = np.array([np.cos(c * lam), c * sinc(c * lam)])
+    zs = np.asarray(zs, dtype=float)
+    N = np.eye(s) + zs[:, None, None] * A
+    singular = np.linalg.cond(N) > 1.0 / _SINGULAR_RCOND
+    if singular.any():
+        N[singular] = np.eye(s)  # solvable stand-in; those S become NaN
+    # y[n, m] = N(z_n)^-1 F_m, one right-hand side per solve; with vecdot
+    # this matches the per-point solve and b @ y bit for bit
+    y = np.linalg.solve(N[:, None], F[:, :, None])[..., 0]
+    by = np.vecdot(y[:, None], b[None, :, None])
+    S = np.array([[phi0, phi1], [-V * phi1, phi0]]) - zs[:, None, None] * by
+    S[singular] = np.nan
+    return S
 
 
 def stability_matrix(ns: lg.NodeSet, V: float, z: float) -> StabilityMatrix:
     """S(V, z) for the test equation; raises on a singular stage system."""
-    return _assemble(_scalar_data(ns, V), V, z)
+    S = _stability_batch(ns, V, np.array([z]))[0]
+    if math.isnan(S[0, 0]):
+        raise SingularStageSystemError(
+            f"stage system singular at (V, z) = ({V:.6g}, {z:.6g})", V=V, z=z
+        )
+    return StabilityMatrix(S=S)
 
 
 def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
@@ -141,28 +135,15 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
         raise ValueError(f"V range must be nonnegative, got lower bound {v_lo}")
     vs = np.linspace(v_lo, v_hi, n_v)
     zs = np.linspace(z_lo, z_hi, n_z)
-    out = np.empty((n_v * n_z, 7))
-    row = 0
-    for V in vs:
-        data = _scalar_data(ns, V)
-        for z in zs:
-            try:
-                sm = _assemble(data, V, z)
-            except SingularStageSystemError:
-                out[row] = (V, z, np.nan, np.nan, np.nan, 0.0, 0.0)
-                row += 1
-                continue
-            tr, det = sm.trace, sm.det
-            rho = spectral_radius_2x2(tr, det)
-            stable = 1.0 if rho < 1.0 else 0.0
-            periodic = (
-                1.0
-                if abs(rho - 1.0) <= PERIODIC_RHO_TOL and tr * tr < 4.0 * det
-                else 0.0
-            )
-            out[row] = (V, z, rho, tr, det, stable, periodic)
-            row += 1
-    return out
+    S = np.concatenate([_stability_batch(ns, V, zs) for V in vs])
+    tr = S[:, 0, 0] + S[:, 1, 1]
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    rho = spectral_radius_2x2(tr, det)
+    stable = rho < 1.0
+    periodic = (np.abs(rho - 1.0) <= PERIODIC_RHO_TOL) & (tr * tr < 4.0 * det)
+    return np.column_stack(
+        [np.repeat(vs, n_z), np.tile(zs, n_v), rho, tr, det, stable, periodic]
+    )
 
 
 def dispersion_dissipation(ns: lg.NodeSet, V: float, z: float) -> tuple[float, float]:

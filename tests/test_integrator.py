@@ -8,6 +8,7 @@ from trigcolloc import integrator as it
 from trigcolloc import lagrange as lg
 from trigcolloc import matfun as mf
 from trigcolloc.errors import (
+    AsymmetricMatrixError,
     ContractionGuardError,
     OracleUnreliableError,
     StageIterationError,
@@ -137,6 +138,26 @@ def test_stage_iteration_failure_carries_diagnostics():
     assert err.value.residual > 0.0
     # the failing step had completed no steps before it
     assert err.value.step_index == 0
+
+
+@pytest.mark.parametrize("mode", ["fixed", "tolerance"])
+def test_nonfinite_stage_residual_fails_at_once(mode):
+    # h^2 * |f'| is far above 1, so the sweeps blow up to inf/nan
+    ivp = OscillatoryIVP(
+        M=np.array([[1.0]]),
+        force=lambda t, q: -50.0 * q**3,
+        q0=np.array([1.0]),
+        p0=np.array([0.5]),
+        t_end=1.0,
+    )
+    max_iter = 20
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StageIterationError) as err:
+            it.solve(ivp, SolverConfig(h=0.5, iteration_mode=mode, max_iter=max_iter))
+    assert err.value.step_index == 0
+    assert err.value.iterations < max_iter
+    assert not math.isfinite(err.value.residual)
+    assert "residual history" in str(err.value)
 
 
 def test_contraction_guard_blocks_large_steps():
@@ -297,3 +318,21 @@ def test_coefficient_path_detection():
         symmetric=False,
     )
     assert asym.coefficient_path() == "series"
+
+
+def test_one_symmetry_test_for_every_path_choice():
+    # asymmetry just inside and just outside the shared relative tolerance
+    ns = lg.gauss2()
+    base = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for gap, sym in ((0.5 * mf.SYMMETRY_TOL, True), (4.0 * mf.SYMMETRY_TOL, False)):
+        M = base.copy()
+        M[0, 1] += gap * 2.0
+        assert mf.is_symmetric(M) is sym
+        ivp = linear_ivp(M, [1.0, 0.0], [0.0, 0.0], 1.0)
+        assert ivp.coefficient_path() == ("spectral" if sym else "series")
+        assert cf.build_table(ns, M, 0.1).path == ("spectral" if sym else "series")
+        if sym:
+            mf.decompose_symmetric(M)
+        else:
+            with pytest.raises(AsymmetricMatrixError):
+                mf.decompose_symmetric(M)

@@ -5,8 +5,10 @@ import pytest
 
 from trigcolloc import lagrange as lg
 from trigcolloc import stability as st
+from trigcolloc.coeffs import WeightKind, scalar_weight
 from trigcolloc.errors import OutsidePeriodicityError, SingularStageSystemError
 from trigcolloc.integrator import OscillatoryIVP, SolverConfig, solve
+from trigcolloc.matfun import sinc
 
 RNG_SEED = 555
 
@@ -19,11 +21,15 @@ DISPERSION_CONST = 0.25 / (6.0 * 2.25)
 
 def test_spectral_radius_matches_eigenvalues():
     rng = np.random.default_rng(RNG_SEED)
-    for _ in range(50):
-        S = rng.standard_normal((2, 2))
-        want = np.abs(np.linalg.eigvals(S)).max()
-        got = st.spectral_radius_2x2(float(np.trace(S)), float(np.linalg.det(S)))
-        assert abs(got - want) < 1e-10
+    S = rng.standard_normal((50, 2, 2))
+    tr, det = np.trace(S, axis1=1, axis2=2), np.linalg.det(S)
+    want = np.abs(np.linalg.eigvals(S)).max(axis=1)
+    got = st.spectral_radius_2x2(tr, det)
+    assert np.abs(got - want).max() < 1e-10
+    # scalar calls agree with the array call bit for bit; NaN propagates
+    one_by_one = [st.spectral_radius_2x2(float(a), float(b)) for a, b in zip(tr, det)]
+    assert np.array_equal(got, one_by_one)
+    assert np.isnan(st.spectral_radius_2x2(np.nan, 1.0))
 
 
 def test_zero_forcing_column_is_exact_rotation():
@@ -85,6 +91,54 @@ def test_scan_layout_and_flags():
     near_one = np.abs(rows[finite, 2] - 1.0) <= st.PERIODIC_RHO_TOL
     complex_pair = rows[finite, 3] ** 2 < 4.0 * rows[finite, 4]
     assert np.array_equal(periodic, near_one & complex_pair)
+
+
+def _pointwise_row(ns, V, z):
+    # the module docstring's formula, one point at a time
+    lam = math.sqrt(V)
+    c, s = ns.nodes, ns.s
+    b_q = np.array([scalar_weight(ns, WeightKind.Q, j, lam) for j in range(s)])
+    b_p = np.array([scalar_weight(ns, WeightKind.P, j, lam) for j in range(s)])
+    A = np.array(
+        [[scalar_weight(ns, WeightKind.STAGE, j, lam, i) for j in range(s)] for i in range(s)]
+    )
+    N = np.eye(s) + z * A
+    if np.linalg.cond(N) > 1e12:
+        return [V, z, np.nan, np.nan, np.nan, 0.0, 0.0]
+    phi0, phi1 = math.cos(lam), float(sinc(lam))
+    y0 = np.linalg.solve(N, np.cos(c * lam))
+    y1 = np.linalg.solve(N, c * sinc(c * lam))
+    S = np.array(
+        [
+            [phi0 - z * (b_q @ y0), phi1 - z * (b_q @ y1)],
+            [-V * phi1 - z * (b_p @ y0), phi0 - z * (b_p @ y1)],
+        ]
+    )
+    tr = S[0, 0] + S[1, 1]
+    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    disc = tr * tr - 4.0 * det
+    if disc >= 0.0:
+        r = math.sqrt(disc)
+        rho = max(abs(tr + r), abs(tr - r)) / 2.0
+    else:
+        rho = math.sqrt(det)
+    periodic = abs(rho - 1.0) <= st.PERIODIC_RHO_TOL and tr * tr < 4.0 * det
+    return [V, z, rho, tr, det, float(rho < 1.0), float(periodic)]
+
+
+def test_scan_matches_pointwise_formula_exactly():
+    # the grid holds the singular point (V, z) = (0, -2)
+    ns = lg.gauss2()
+    rows = st.scan_region(ns, (0.0, 30.0), (-3.0, 1.0), (4, 9))
+    vs, zs = np.linspace(0.0, 30.0, 4), np.linspace(-3.0, 1.0, 9)
+    want = np.array([_pointwise_row(ns, V, z) for V in vs for z in zs])
+    singular = np.isnan(want[:, 2])
+    assert singular.sum() == 1
+    assert np.array_equal(want[singular, :2], [[0.0, -2.0]])
+    assert np.isnan(rows[singular, 2:5]).all()
+    assert np.array_equal(rows[singular, 5:], [[0.0, 0.0]])
+    assert np.array_equal(rows[~singular], want[~singular])
+    assert np.array_equal(rows[singular, :2], want[singular, :2])
 
 
 def test_scan_rejects_bad_grids():
