@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,8 @@ from .coeffs import (
     quadrature_weight,
 )
 from .errors import StageIterationError, TrigCollocError
-from .integrator import OscillatoryIVP, SolverConfig, solve
-from .problems import PROBLEMS, build_problem
+from .integrator import SolverConfig, solve
+from .problems import PROBLEMS, ProblemSpec, build_problem
 from .stability import scan_region
 
 EXIT_OK = 0
@@ -86,7 +85,8 @@ def _node_set(manifest: RunManifest) -> lg.NodeSet:
     return lg.gauss2()
 
 
-def _problem_ivp(manifest: RunManifest) -> OscillatoryIVP:
+def _problem(manifest: RunManifest) -> ProblemSpec:
+    """The registered problem with the manifest's t_end and force applied."""
     spec = build_problem(manifest.problem, **manifest.overrides)
     ivp = spec.ivp
     if manifest.t_end is not None:
@@ -97,7 +97,7 @@ def _problem_ivp(manifest: RunManifest) -> OscillatoryIVP:
         ivp.force = lambda t, q: np.zeros(d)
         # the matching quadratic energy, so drift stays meaningful
         ivp.hamiltonian = lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ (M @ q))
-    return ivp
+    return spec
 
 
 def _config(manifest: RunManifest, h: float) -> SolverConfig:
@@ -119,7 +119,7 @@ def _write(out: str | None, text: str) -> None:
 
 def cmd_solve(manifest: RunManifest) -> int:
     ns = _node_set(manifest)
-    ivp = _problem_ivp(manifest)
+    ivp = _problem(manifest).ivp
     traj = solve(ivp, _config(manifest, manifest.h), node_set=ns)
     d = ivp.dim
     cols = ["t"] + [f"q{k+1}" for k in range(d)] + [f"p{k+1}" for k in range(d)]
@@ -146,7 +146,7 @@ def cmd_solve(manifest: RunManifest) -> int:
 
 def cmd_energy(manifest: RunManifest) -> int:
     ns = _node_set(manifest)
-    ivp = _problem_ivp(manifest)
+    ivp = _problem(manifest).ivp
     if ivp.hamiltonian is None:
         raise TrigCollocError(f"problem {manifest.problem!r} defines no energy")
     traj = solve(ivp, _config(manifest, manifest.h), node_set=ns)
@@ -160,8 +160,8 @@ def cmd_energy(manifest: RunManifest) -> int:
 
 def cmd_convergence(manifest: RunManifest) -> int:
     ns = _node_set(manifest)
-    ivp = _problem_ivp(manifest)
-    spec = build_problem(manifest.problem, **manifest.overrides)
+    spec = _problem(manifest)
+    ivp = spec.ivp
     if spec.exact_solution is not None and not manifest.zero_force:
         ref_q, ref_p = spec.exact_solution(ivp.t_end)
     else:
@@ -171,15 +171,13 @@ def cmd_convergence(manifest: RunManifest) -> int:
         ref = reference_solve(ivp, per_unit, node_set=ns)
         ref_q, ref_p = ref.q[-1], ref.p[-1]
 
-    def error_at(h: float) -> float:
-        traj = solve(ivp, _config(manifest, h), node_set=ns)
-        return max(
-            np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max()
-        )
-
     hs = sorted(manifest.h_list, reverse=True)
-    with ThreadPoolExecutor(max_workers=min(4, len(hs))) as pool:
-        errors = list(pool.map(error_at, hs))
+    errors = []
+    for h in hs:
+        traj = solve(ivp, _config(manifest, h), node_set=ns)
+        errors.append(
+            max(np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max())
+        )
     lines = ["h,global_error"]
     lines += [f"{fmt(h)},{fmt(e)}" for h, e in zip(hs, errors)]
     _write(manifest.out, "\n".join(lines) + "\n")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -206,15 +206,19 @@ def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None
 class CoefficientTable:
     """All step coefficients for one (nodes, M, h) combination.
 
-    Raw weight matrices keep the defining-integral normalization; the
-    *_update arrays carry the step-size scaling used by the one-step map:
+    Raw weight matrices keep the defining-integral normalization.  The
+    one-step map is applied through four flat operators built from them,
+    acting on y = [q; p] (length 2d) and on the stacked stage forces
+    F = [f_1; ...; f_s] (length s*d):
 
-      q_update[j]        = h^2 * weights_q[j]
-      p_update[j]        = h   * weights_p[j]
-      stage_update[i, j] = (c_i h)^2 * stage_weights[i, j]
-      p_linear           = -h * M @ phi_main.phi1
+      predictor     (s*d, 2d)   block row i:    [phi0(c_i^2 V) | c_i h phi1(c_i^2 V)]
+      stage_matrix  (s*d, s*d)  block (i, j):   (c_i h)^2 stage_weights[i, j]
+      propagator    (2d, 2d)    [[phi0, h phi1], [-h M phi1, phi0]] at V = h^2 M
+      force_matrix  (2d, s*d)   block column j: [h^2 weights_q[j]; h weights_p[j]]
 
-    Tables are immutable; reuse one per (nodes, M, h).
+    The stage pairs phi_stage[i] = (phi0, phi1)(c_i^2 V) enter only the
+    predictor and are not kept.  Tables are immutable; reuse one per
+    (nodes, M, h).
     """
 
     node_set: lg.NodeSet
@@ -225,22 +229,35 @@ class CoefficientTable:
     weights_p: np.ndarray
     stage_weights: np.ndarray
     phi_main: PhiPair
-    phi_stage: tuple
-    q_update: np.ndarray = field(init=False)
-    p_update: np.ndarray = field(init=False)
-    stage_update: np.ndarray = field(init=False)
-    p_linear: np.ndarray = field(init=False)
+    phi_stage: InitVar[tuple]
+    predictor: np.ndarray = field(init=False)
+    stage_matrix: np.ndarray = field(init=False)
+    propagator: np.ndarray = field(init=False)
+    force_matrix: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, phi_stage):
         h = self.h
         c = self.node_set.nodes
-        object.__setattr__(self, "q_update", h * h * self.weights_q)
-        object.__setattr__(self, "p_update", h * self.weights_p)
-        scale = (c * h) ** 2
-        object.__setattr__(
-            self, "stage_update", scale[:, None, None, None] * self.stage_weights
+        s, d = self.node_set.s, self.dim
+        predictor = np.block(
+            [[pair.phi0, (ci * h) * pair.phi1] for ci, pair in zip(c, phi_stage)]
         )
-        object.__setattr__(self, "p_linear", -h * (self.M @ self.phi_main.phi1))
+        scale = (c * h) ** 2
+        stage_matrix = (scale[:, None, None, None] * self.stage_weights).transpose(
+            0, 2, 1, 3
+        ).reshape(s * d, s * d)
+        phi0, phi1 = self.phi_main.phi0, self.phi_main.phi1
+        propagator = np.block([[phi0, h * phi1], [-h * (self.M @ phi1), phi0]])
+        force_matrix = np.concatenate(
+            [
+                (h * h * self.weights_q).transpose(1, 0, 2).reshape(d, s * d),
+                (h * self.weights_p).transpose(1, 0, 2).reshape(d, s * d),
+            ]
+        )
+        object.__setattr__(self, "predictor", predictor)
+        object.__setattr__(self, "stage_matrix", stage_matrix)
+        object.__setattr__(self, "propagator", propagator)
+        object.__setattr__(self, "force_matrix", force_matrix)
 
     @property
     def dim(self) -> int:

@@ -4,6 +4,13 @@ The scheme advances q'' + M q = f(t, q) by a variation-of-constants step:
 stage values at t + c_i h solve a fixed-point system driven by the stage
 coupling weights; the update combines phi-function rotations of (q, p)
 with the q/p weight sums over stage forces.
+
+Each step is a few matrix-vector products with the flat operators of its
+CoefficientTable, applied to y = [q; p] and to the stacked stage forces
+F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
+
+  stages  Q = predictor @ y + stage_matrix @ F(Q)     (fixed-point sweeps)
+  update  [q_new; p_new] = propagator @ y + force_matrix @ F(Q)
 """
 
 from __future__ import annotations
@@ -143,7 +150,7 @@ class Trajectory:
 
 def check_contraction(ns: lg.NodeSet, h: float, lipschitz: float) -> float:
     """Contraction factor h^2 * L * max_ij int |l_j(c_i z)(1-z)| dz."""
-    return h * h * lipschitz * lg.abs_weight_bound(ns)
+    return h * h * lipschitz * ns.weight_bound
 
 
 def fixed_point_stages(
@@ -156,13 +163,15 @@ def fixed_point_stages(
 ):
     """Solve the stage system; returns (stages, iterations, residual_history).
 
-    The initial guess is the free-oscillation predictor
-    phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p.  A sweep whose residual is
-    not finite raises StageIterationError with the residual history.
+    stages is an (s, d) array.  The initial guess is the free-oscillation
+    predictor phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p, i.e. predictor @ [q; p];
+    each sweep evaluates the forces at the current stages into one (s, d)
+    buffer F and sets the stages to predictor @ [q; p] + stage_matrix @ F.
+    A sweep whose residual is not finite raises StageIterationError with the
+    residual history.
     """
     ns = table.node_set
     h = cfg.h
-    c = ns.nodes
     if cfg.enforce_contraction_guard and ivp.lipschitz is not None:
         factor = check_contraction(ns, h, ivp.lipschitz)
         if factor >= 1.0:
@@ -170,19 +179,18 @@ def fixed_point_stages(
                 f"contraction factor {factor:.3g} >= 1 at h = {h:.3g};"
                 " reduce the step"
             )
-    pred = np.stack(
-        [
-            table.phi_stage[i].phi0 @ q + (c[i] * h) * (table.phi_stage[i].phi1 @ p)
-            for i in range(ns.s)
-        ]
-    )
-    stage_t = t + c * h
-    stages = pred.copy()
+    s, d = ns.s, table.dim
+    pred = table.predictor @ np.concatenate((q, p))
+    stage_t = (t + ns.nodes * h).tolist()
+    stages = pred.reshape(s, d)
+    forces = np.empty((s, d))
+    flat_forces = forces.reshape(s * d)
     history: list[float] = []
     fixed_mode = cfg.iteration_mode == "fixed"
     for sweep in range(1, cfg.max_iter + 1):
-        forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(ns.s)])
-        new = pred + np.einsum("ijkl,jl->ik", table.stage_update, forces)
+        for j in range(s):
+            forces[j] = ivp.force(stage_t[j], stages[j])
+        new = (pred + table.stage_matrix @ flat_forces).reshape(s, d)
         res = float(np.abs(new - stages).max())
         history.append(res)
         if not math.isfinite(res):
@@ -215,30 +223,26 @@ def step(
 ) -> StepResult:
     """Advance one step of size cfg.h from (t, q, p).
 
-    The update evaluates the force once more at the accepted stages, so
-    the map is the collocation update at the converged stage values.
+    The update evaluates the force once more at the accepted stages, into
+    F, and returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F,
+    so the map is the collocation update at the converged stage values.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
     ns = table.node_set
     h = cfg.h
     stages, iters, history = fixed_point_stages(table, ivp, t, q, p, cfg)
-    stage_t = t + ns.nodes * h
-    forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(ns.s)])
-    q_new = (
-        table.phi_main.phi0 @ q
-        + h * (table.phi_main.phi1 @ p)
-        + np.einsum("jkl,jl->k", table.q_update, forces)
-    )
-    p_new = (
-        table.p_linear @ q
-        + table.phi_main.phi0 @ p
-        + np.einsum("jkl,jl->k", table.p_update, forces)
-    )
+    s, d = ns.s, table.dim
+    stage_t = (t + ns.nodes * h).tolist()
+    forces = np.empty((s, d))
+    for j in range(s):
+        forces[j] = ivp.force(stage_t[j], stages[j])
+    y = np.concatenate((q, p))
+    y_new = table.propagator @ y + table.force_matrix @ forces.ravel()
     return StepResult(
         t=t + h,
-        q=q_new,
-        p=p_new,
+        q=y_new[:d],
+        p=y_new[d:],
         iterations=iters,
         residual=history[-1] if history else 0.0,
         stages=stages,

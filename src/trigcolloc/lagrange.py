@@ -8,8 +8,9 @@ which is why the node count is capped at MAX_NODES.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -31,11 +32,28 @@ class NodeSet:
     """Distinct nodes c_1..c_s in [0, 1] with their Lagrange basis.
 
     ``basis_coeffs[j]`` holds the monomial coefficients of l_j in ascending
-    order, where l_j(c_k) = delta_{jk}.
+    order, where l_j(c_k) = delta_{jk}; ``derivative_coeffs[j, k]`` holds
+    the coefficients of the k-th derivative of l_j, zero-padded to length s.
     """
 
     nodes: np.ndarray
     basis_coeffs: np.ndarray
+    derivative_coeffs: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        s = self.s
+        der = np.zeros((s, s, s))
+        for j in range(s):
+            for k in range(s):
+                dk = npoly.polyder(self.basis_coeffs[j], m=k)
+                der[j, k, : dk.size] = dk
+        object.__setattr__(self, "derivative_coeffs", der)
+
+    @functools.cached_property
+    def weight_bound(self) -> float:
+        """abs_weight_bound of the set, computed on first use (it costs
+        several times a build_node_set, which most callers never need)."""
+        return abs_weight_bound(self)
 
     @property
     def s(self) -> int:
@@ -95,8 +113,7 @@ def eval_basis_derivative(ns: NodeSet, j: int, k: int, x) -> float | np.ndarray:
         raise ValueError(f"derivative order must be >= 0, got {k}")
     if k >= ns.s:
         return np.zeros_like(np.asarray(x, dtype=float))[()] if np.ndim(x) else 0.0
-    der = npoly.polyder(ns.basis_coeffs[j], m=k) if k else ns.basis_coeffs[j]
-    return npoly.polyval(x, der)
+    return npoly.polyval(x, ns.derivative_coeffs[j, k])
 
 
 def weighted_moment(ns: NodeSet, j: int, m: int, scale: float = 1.0) -> float:

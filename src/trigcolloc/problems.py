@@ -109,31 +109,20 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     M = np.zeros((d, d))
     M[np.arange(m, d), np.arange(m, d)] = omega * omega
 
-    def _gaps(x: np.ndarray) -> np.ndarray:
-        # one entry per soft spring: ends, then the m-1 interior couplings
-        g = np.empty(m + 1)
-        g[0] = x[0] - x[m]
-        for i in range(m - 1):
-            g[i + 1] = x[i + 1] - x[m + i + 1] - x[i] - x[m + i]
-        g[m] = x[m - 1] + x[2 * m - 1]
-        return g
+    # spring incidence: row k of G @ x is the elongation of soft spring k
+    # (first end, the m-1 interior couplings, last end)
+    G = np.zeros((m + 1, d))
+    G[0, [0, m]] = 1.0, -1.0
+    for i in range(m - 1):
+        G[i + 1, [i + 1, m + i + 1, i, m + i]] = 1.0, -1.0, -1.0, -1.0
+    G[m, [m - 1, 2 * m - 1]] = 1.0, 1.0
+    GT = G.T.copy()
 
     def potential(x: np.ndarray) -> float:
-        return 0.25 * float((_gaps(x) ** 4).sum())
+        return 0.25 * float(((G @ x) ** 4).sum())
 
     def force(t: float, x: np.ndarray) -> np.ndarray:
-        g3 = _gaps(x) ** 3
-        grad = np.zeros(d)
-        grad[0] += g3[0]
-        grad[m] -= g3[0]
-        for i in range(m - 1):
-            grad[i + 1] += g3[i + 1]
-            grad[m + i + 1] -= g3[i + 1]
-            grad[i] -= g3[i + 1]
-            grad[m + i] -= g3[i + 1]
-        grad[m - 1] += g3[m]
-        grad[2 * m - 1] += g3[m]
-        return -grad
+        return -(GT @ (G @ x) ** 3)
 
     def hamiltonian(x: np.ndarray, y: np.ndarray) -> float:
         return 0.5 * float(y @ y) + 0.5 * float(x @ (M @ x)) + potential(x)

@@ -5,6 +5,7 @@ import pytest
 
 from trigcolloc import coeffs as cf
 from trigcolloc import lagrange as lg
+from trigcolloc import matfun as mf
 from trigcolloc.coeffs import WeightKind
 from trigcolloc.errors import (
     AsymmetricMatrixError,
@@ -118,12 +119,12 @@ def test_table_paths_agree_on_random_spd():
     ser_table = cf.build_table(ns, M, h, path="series")
     assert spec_table.path == "spectral"
     assert ser_table.path == "series"
-    for name in ("weights_q", "weights_p", "stage_weights", "q_update", "p_update"):
+    for name in ("weights_q", "weights_p", "stage_weights", "force_matrix"):
         a = getattr(spec_table, name)
         b = getattr(ser_table, name)
         assert np.abs(a - b).max() < 1e-12
     assert np.abs(spec_table.phi_main.phi0 - ser_table.phi_main.phi0).max() < 1e-12
-    assert np.abs(spec_table.p_linear - ser_table.p_linear).max() < 1e-12
+    assert np.abs(spec_table.propagator - ser_table.propagator).max() < 1e-12
 
 
 def test_table_shapes_and_scalings():
@@ -135,14 +136,31 @@ def test_table_shapes_and_scalings():
     assert table.weights_q.shape == (2, d, d)
     assert table.weights_p.shape == (2, d, d)
     assert table.stage_weights.shape == (2, 2, d, d)
-    assert np.abs(table.q_update - h * h * table.weights_q).max() == 0.0
-    assert np.abs(table.p_update - h * table.weights_p).max() == 0.0
+    assert table.predictor.shape == (2 * d, 2 * d)
+    assert table.stage_matrix.shape == (2 * d, 2 * d)
+    assert table.propagator.shape == (2 * d, 2 * d)
+    assert table.force_matrix.shape == (2 * d, 2 * d)
+    blk = lambda k: slice(k * d, (k + 1) * d)
+    for j in range(2):
+        fq = table.force_matrix[:d, blk(j)]
+        fp = table.force_matrix[d:, blk(j)]
+        assert np.abs(fq - h * h * table.weights_q[j]).max() == 0.0
+        assert np.abs(fp - h * table.weights_p[j]).max() == 0.0
+    sd = mf.decompose_symmetric(M)
     for i in range(2):
         ci = ns.nodes[i]
-        want = (ci * h) ** 2 * table.stage_weights[i]
-        assert np.abs(table.stage_update[i] - want).max() == 0.0
-    p_lin = -h * (M @ table.phi_main.phi1)
-    assert np.abs(table.p_linear - p_lin).max() < 1e-14
+        for j in range(2):
+            want = (ci * h) ** 2 * table.stage_weights[i, j]
+            assert np.abs(table.stage_matrix[blk(i), blk(j)] - want).max() == 0.0
+        pair = mf.phi_pair_spectral(sd, ci * h)
+        assert np.abs(table.predictor[blk(i), :d] - pair.phi0).max() == 0.0
+        assert np.abs(table.predictor[blk(i), d:] - ci * h * pair.phi1).max() == 0.0
+    phi0, phi1 = table.phi_main.phi0, table.phi_main.phi1
+    assert np.abs(table.propagator[:d, :d] - phi0).max() == 0.0
+    assert np.abs(table.propagator[:d, d:] - h * phi1).max() == 0.0
+    assert np.abs(table.propagator[d:, d:] - phi0).max() == 0.0
+    p_lin = -h * (M @ phi1)
+    assert np.abs(table.propagator[d:, :d] - p_lin).max() < 1e-14
 
 
 def test_table_diagonal_matches_scalar_kernels():

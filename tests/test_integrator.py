@@ -160,6 +160,69 @@ def test_nonfinite_stage_residual_fails_at_once(mode):
     assert "residual history" in str(err.value)
 
 
+def defining_step(table, ivp, t, q, p, h, sweeps):
+    """One step from the raw weights and phi pairs, stage by stage.
+
+    Runs exactly ``sweeps`` stage sweeps, then the update; returns
+    (q_new, p_new, stages).
+    """
+    ns = table.node_set
+    c, s = ns.nodes, ns.s
+    M = table.M
+    if table.path == "spectral":
+        sd = mf.decompose_symmetric(M)
+        pairs = [mf.phi_pair_spectral(sd, ci * h) for ci in c]
+    else:
+        pairs = [mf.phi_pair_series(ci * ci * h * h * M, scale=ci * h) for ci in c]
+    pred = np.stack(
+        [pairs[i].phi0 @ q + (c[i] * h) * (pairs[i].phi1 @ p) for i in range(s)]
+    )
+    stage_scaled = ((c * h) ** 2)[:, None, None, None] * table.stage_weights
+    stage_t = t + c * h
+    stages = pred.copy()
+    for _ in range(sweeps):
+        forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(s)])
+        stages = pred + np.einsum("ijkl,jl->ik", stage_scaled, forces)
+    forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(s)])
+    phi0, phi1 = table.phi_main.phi0, table.phi_main.phi1
+    q_new = (
+        phi0 @ q + h * (phi1 @ p)
+        + np.einsum("jkl,jl->k", h * h * table.weights_q, forces)
+    )
+    p_new = (
+        -h * (M @ phi1) @ q + phi0 @ p
+        + np.einsum("jkl,jl->k", h * table.weights_p, forces)
+    )
+    return q_new, p_new, stages
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("path", ["spectral", "series"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_step_matches_defining_formula(s, path, mode):
+    # d = 5 differs from every s, so a transposed block cannot pass
+    rng = np.random.default_rng(RNG_SEED + 10 * s)
+    d = 5
+    A = rng.standard_normal((d, d))
+    M = A @ A.T / d + np.diag(np.linspace(1.0, 9.0, d))
+    if path == "series":
+        M = M + 0.5 * (A - A.T)  # non-symmetric
+    B = rng.standard_normal((d, d))
+    force = lambda t, x: -0.3 * x**3 + 0.2 * math.sin(t) * (B @ x)
+    q0, p0 = rng.standard_normal(d), rng.standard_normal(d)
+    h, t = 0.3, 0.7
+    ivp = OscillatoryIVP(M=M, force=force, q0=q0, p0=p0, t_end=1.0)
+    ns = lg.gauss_nodes(s)
+    table = cf.build_table(ns, M, h, path=path)
+    assert table.path == path
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=4 if mode == "fixed" else 50)
+    r = it.step(table, ivp, t, q0, p0, cfg)
+    assert r.stages.shape == (s, d)
+    q_want, p_want, stages_want = defining_step(table, ivp, t, q0, p0, h, r.iterations)
+    for got, want in ((r.q, q_want), (r.p, p_want), (r.stages, stages_want)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_contraction_guard_blocks_large_steps():
     ivp = OscillatoryIVP(
         M=np.array([[1.0]]),

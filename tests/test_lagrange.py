@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from trigcolloc import lagrange as lg
 from trigcolloc.errors import InvalidNodesError
@@ -79,6 +80,18 @@ def test_derivative_beyond_degree_is_zero():
     ns = lg.build_node_set([0.2, 0.5, 0.9])
     for k in (3, 4, 7):
         assert lg.eval_basis_derivative(ns, 1, k, 0.37) == 0.0
+
+
+def test_node_set_stores_derivatives_and_weight_bound():
+    rng = np.random.default_rng(RNG_SEED)
+    for ns in (lg.gauss2(), lg.build_node_set([0.2, 0.5, 0.9]), lg.gauss_nodes(6)):
+        assert ns.weight_bound == lg.abs_weight_bound(ns)
+        for j in range(ns.s):
+            for k in range(ns.s):
+                der = npoly.polyder(ns.basis_coeffs[j], m=k)
+                for x in [0.0, 1.0, *rng.uniform(-1.0, 2.0, size=5)]:
+                    # bit-identical to a polyder on every call
+                    assert lg.eval_basis_derivative(ns, j, k, x) == npoly.polyval(x, der)
 
 
 def test_weighted_moment_s1_literals():

@@ -71,6 +71,45 @@ def test_force_is_negative_gradient_of_potential(name):
         assert np.abs(grad - got).max() <= GRAD_TOL * scale
 
 
+def fpu_gaps_by_spring(x, m):
+    g = np.empty(m + 1)
+    g[0] = x[0] - x[m]
+    for i in range(m - 1):
+        g[i + 1] = x[i + 1] - x[m + i + 1] - x[i] - x[m + i]
+    g[m] = x[m - 1] + x[2 * m - 1]
+    return g
+
+
+def fpu_force_by_spring(x, m):
+    """Negative gradient of the soft-spring quartic, one spring at a time."""
+    g3 = fpu_gaps_by_spring(x, m) ** 3
+    grad = np.zeros(2 * m)
+    grad[0] += g3[0]
+    grad[m] -= g3[0]
+    for i in range(m - 1):
+        grad[i + 1] += g3[i + 1]
+        grad[m + i + 1] -= g3[i + 1]
+        grad[i] -= g3[i + 1]
+        grad[m + i] -= g3[i + 1]
+    grad[m - 1] += g3[m]
+    grad[2 * m - 1] += g3[m]
+    return -grad
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_fpu_force_matches_spring_by_spring_loop(m):
+    spec = build_problem("fpu", m=m)
+    rng = np.random.default_rng(RNG_SEED + m)
+    for _ in range(20):
+        x = rng.standard_normal(2 * m)
+        want = fpu_force_by_spring(x, m)
+        got = spec.ivp.force(0.0, x)
+        assert got.shape == (2 * m,)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        pot = 0.25 * float((fpu_gaps_by_spring(x, m) ** 4).sum())
+        assert abs(spec.potential(x) - pot) <= 1e-14 * pot
+
+
 @pytest.mark.parametrize("name", ["satellite", "fpu", "klein-gordon"])
 def test_hamiltonian_is_conserved_along_solve(name):
     spec = build_problem(name, t_end=1.0)
