@@ -10,7 +10,13 @@ CoefficientTable, applied to y = [q; p] and to the stacked stage forces
 F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
 
   stages  Q = predictor @ y + stage_matrix @ F(Q)     (fixed-point sweeps)
-  update  [q_new; p_new] = propagator @ y + force_matrix @ F(Q)
+  update  [q_new; p_new] = propagator @ y + force_matrix @ F
+
+Each sweep fills F with one force call on all s stages when the IVP is
+vectorized, else with one call per stage.  In tolerance mode the update
+reuses the F of the sweep that passed the test, evaluated at the previous
+iterate, which lies within tol * (1 + max |Q|) of the returned stages; in
+fixed mode the update evaluates F once more at the final stages.
 """
 
 from __future__ import annotations
@@ -49,6 +55,14 @@ class OscillatoryIVP:
     ``lipschitz`` is a bound on the force Jacobian used by the contraction
     guard; ``hamiltonian`` (q, p) -> float and the skew ``invariant``
     matrix D (tracking q^T D p) enable the trajectory diagnostics.
+
+    ``vectorized`` declares the callbacks' signature.  False (default):
+    ``force(t, q)`` gets a float t and a d-vector q and returns a d-vector,
+    and ``hamiltonian(q, p)`` gets one pair of d-vectors.  True:
+    ``force(t, Q)`` gets t as an (s, 1) column of stage times and Q as
+    (s, d) rows and returns (s, d), and ``hamiltonian(Q, P)`` gets (n, d)
+    rows and returns (n,).  It cannot be detected: a per-row callback such
+    as -(q @ q) * q runs on rows without error and computes garbage.
     """
 
     M: np.ndarray
@@ -60,6 +74,7 @@ class OscillatoryIVP:
     lipschitz: float | None = None
     hamiltonian: Callable[[np.ndarray, np.ndarray], float] | None = None
     invariant: np.ndarray | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         self.M = np.atleast_2d(np.asarray(self.M, dtype=float))
@@ -153,6 +168,18 @@ def check_contraction(ns: lg.NodeSet, h: float, lipschitz: float) -> float:
     return h * h * lipschitz * ns.weight_bound
 
 
+def _stage_forces(
+    ivp: OscillatoryIVP, stage_t: np.ndarray, stages: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill out (s, d) with f(t_j, Q_j): one call on all rows if the IVP is
+    vectorized (stage_t is the (s, 1) column), else one call per row."""
+    if ivp.vectorized:
+        out[...] = ivp.force(stage_t, stages)
+    else:
+        for j, tj in enumerate(stage_t.ravel().tolist()):
+            out[j] = ivp.force(tj, stages[j])
+
+
 def fixed_point_stages(
     table: CoefficientTable,
     ivp: OscillatoryIVP,
@@ -160,6 +187,7 @@ def fixed_point_stages(
     q: np.ndarray,
     p: np.ndarray,
     cfg: SolverConfig,
+    forces: np.ndarray | None = None,
 ):
     """Solve the stage system; returns (stages, iterations, residual_history).
 
@@ -167,6 +195,8 @@ def fixed_point_stages(
     predictor phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p, i.e. predictor @ [q; p];
     each sweep evaluates the forces at the current stages into one (s, d)
     buffer F and sets the stages to predictor @ [q; p] + stage_matrix @ F.
+    ``forces``, if given, is that buffer: on return it holds the F of the
+    last sweep, evaluated at the iterate before the returned stages.
     A sweep whose residual is not finite raises StageIterationError with the
     residual history.
     """
@@ -181,15 +211,15 @@ def fixed_point_stages(
             )
     s, d = ns.s, table.dim
     pred = table.predictor @ np.concatenate((q, p))
-    stage_t = (t + ns.nodes * h).tolist()
+    stage_t = (t + ns.nodes * h)[:, None]
     stages = pred.reshape(s, d)
-    forces = np.empty((s, d))
+    if forces is None:
+        forces = np.empty((s, d))
     flat_forces = forces.reshape(s * d)
     history: list[float] = []
     fixed_mode = cfg.iteration_mode == "fixed"
     for sweep in range(1, cfg.max_iter + 1):
-        for j in range(s):
-            forces[j] = ivp.force(stage_t[j], stages[j])
+        _stage_forces(ivp, stage_t, stages, forces)
         new = (pred + table.stage_matrix @ flat_forces).reshape(s, d)
         res = float(np.abs(new - stages).max())
         history.append(res)
@@ -223,20 +253,21 @@ def step(
 ) -> StepResult:
     """Advance one step of size cfg.h from (t, q, p).
 
-    The update evaluates the force once more at the accepted stages, into
-    F, and returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F,
-    so the map is the collocation update at the converged stage values.
+    Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F.  In
+    tolerance mode F is the stage forces of the sweep that passed the
+    test, so the update costs no force call; in fixed mode F is evaluated
+    once more at the final stages, so the map is the collocation update
+    at the returned stage values.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
     ns = table.node_set
     h = cfg.h
-    stages, iters, history = fixed_point_stages(table, ivp, t, q, p, cfg)
-    s, d = ns.s, table.dim
-    stage_t = (t + ns.nodes * h).tolist()
-    forces = np.empty((s, d))
-    for j in range(s):
-        forces[j] = ivp.force(stage_t[j], stages[j])
+    d = table.dim
+    forces = np.empty((ns.s, d))
+    stages, iters, history = fixed_point_stages(table, ivp, t, q, p, cfg, forces=forces)
+    if cfg.iteration_mode == "fixed":
+        _stage_forces(ivp, (t + ns.nodes * h)[:, None], stages, forces)
     y = np.concatenate((q, p))
     y_new = table.propagator @ y + table.force_matrix @ forces.ravel()
     return StepResult(
@@ -308,7 +339,9 @@ def solve(
         exc.step_index = k
         raise
     energy = None
-    if ivp.hamiltonian is not None:
+    if ivp.hamiltonian is not None and ivp.vectorized:
+        energy = np.asarray(ivp.hamiltonian(q_out, p_out), dtype=float)
+    elif ivp.hamiltonian is not None:
         energy = np.array([ivp.hamiltonian(q_out[n], p_out[n]) for n in range(n_steps + 1)])
     invariant = None
     if ivp.invariant is not None:

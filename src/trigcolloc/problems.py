@@ -4,6 +4,10 @@ Each builder returns a ProblemSpec wrapping an OscillatoryIVP plus the
 potential behind its force (forces are exact negative gradients of the
 potential, which the tests verify by central differences) and, where one
 exists, the exact solution.
+
+Every registered IVP is vectorized: force, potential and Hamiltonian act on
+the last axis, so each serves a single d-vector as well as (n, d) rows
+(with t a float or an (n, 1) column).
 """
 
 from __future__ import annotations
@@ -60,26 +64,26 @@ def satellite_problem(t_end: float = 100.0) -> ProblemSpec:
     kappa = (k2 - 2.0 * float(p0 @ p0)) / r0 - v0
     M = (kappa / 2.0) * np.eye(4)
 
-    def potential(q: np.ndarray) -> float:
-        r = float(q @ q)
-        w = q[0] * q[2] + q[1] * q[3]
+    def potential(q: np.ndarray):
+        r = np.vecdot(q, q)
+        w = q[..., 0] * q[..., 2] + q[..., 1] * q[..., 3]
         return mu * (w * w / r**4 - 1.0 / (12.0 * r * r))
 
-    def force(t: float, q: np.ndarray) -> np.ndarray:
-        r = float(q @ q)
-        w = q[0] * q[2] + q[1] * q[3]
-        grad_w = np.array([q[2], q[3], q[0], q[1]])
+    def force(t, q: np.ndarray) -> np.ndarray:
+        r = np.vecdot(q, q)[..., None]
+        w = (q[..., 0] * q[..., 2] + q[..., 1] * q[..., 3])[..., None]
+        grad_w = q[..., [2, 3, 0, 1]]
         grad = mu * (
             2.0 * w / r**4 * grad_w - 8.0 * w * w / r**5 * q + q / (3.0 * r**3)
         )
         return -grad
 
-    def hamiltonian(q: np.ndarray, p: np.ndarray) -> float:
-        return 0.5 * float(p @ p) + 0.5 * (kappa / 2.0) * float(q @ q) + potential(q)
+    def hamiltonian(q: np.ndarray, p: np.ndarray):
+        return 0.5 * np.vecdot(p, p) + 0.5 * (kappa / 2.0) * np.vecdot(q, q) + potential(q)
 
     ivp = OscillatoryIVP(
         M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian,
+        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
     )
     return ProblemSpec(
         name="satellite",
@@ -109,7 +113,7 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     M = np.zeros((d, d))
     M[np.arange(m, d), np.arange(m, d)] = omega * omega
 
-    # spring incidence: row k of G @ x is the elongation of soft spring k
+    # spring incidence: entry k of x @ G.T is the elongation of soft spring k
     # (first end, the m-1 interior couplings, last end)
     G = np.zeros((m + 1, d))
     G[0, [0, m]] = 1.0, -1.0
@@ -118,14 +122,14 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     G[m, [m - 1, 2 * m - 1]] = 1.0, 1.0
     GT = G.T.copy()
 
-    def potential(x: np.ndarray) -> float:
-        return 0.25 * float(((G @ x) ** 4).sum())
+    def potential(x: np.ndarray):
+        return 0.25 * ((x @ GT) ** 4).sum(axis=-1)
 
-    def force(t: float, x: np.ndarray) -> np.ndarray:
-        return -(GT @ (G @ x) ** 3)
+    def force(t, x: np.ndarray) -> np.ndarray:
+        return -(((x @ GT) ** 3) @ G)
 
-    def hamiltonian(x: np.ndarray, y: np.ndarray) -> float:
-        return 0.5 * float(y @ y) + 0.5 * float(x @ (M @ x)) + potential(x)
+    def hamiltonian(x: np.ndarray, y: np.ndarray):
+        return 0.5 * np.vecdot(y, y) + 0.5 * np.vecdot(x @ M, x) + potential(x)
 
     q0 = np.zeros(d)
     p0 = np.zeros(d)
@@ -135,7 +139,7 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     p0[m] = 1.0
     ivp = OscillatoryIVP(
         M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian,
+        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
     )
     return ProblemSpec(
         name="fpu",
@@ -165,21 +169,21 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
         M[i, (i + 1) % n] = -1.0
     M /= dx * dx
 
-    def potential(u: np.ndarray) -> float:
-        return float((0.5 * u**2 + 0.25 * u**4).sum())
+    def potential(u: np.ndarray):
+        return (0.5 * u**2 + 0.25 * u**4).sum(axis=-1)
 
-    def force(t: float, u: np.ndarray) -> np.ndarray:
+    def force(t, u: np.ndarray) -> np.ndarray:
         return -(u + u**3)
 
-    def hamiltonian(u: np.ndarray, v: np.ndarray) -> float:
-        return 0.5 * float(v @ v) + 0.5 * float(u @ (M @ u)) + potential(u)
+    def hamiltonian(u: np.ndarray, v: np.ndarray):
+        return 0.5 * np.vecdot(v, v) + 0.5 * np.vecdot(u @ M, u) + potential(u)
 
     x = dx * np.arange(1, n + 1)
     q0 = amp * (1.0 + np.cos(2.0 * math.pi * x / length))
     p0 = np.zeros(n)
     ivp = OscillatoryIVP(
         M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian,
+        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
     )
     return ProblemSpec(
         name="klein-gordon",
@@ -213,8 +217,8 @@ def wave_problem(n: int = 40, t_end: float = 10.0) -> ProblemSpec:
         if i < d - 1:
             M[i, i + 1] -= a[i] / dx**2
 
-    def force(t: float, u: np.ndarray) -> np.ndarray:
-        drive = 0.25 * a**5 * math.sin(20.0 * t) ** 2 * math.cos(10.0 * t)
+    def force(t, u: np.ndarray) -> np.ndarray:
+        drive = 0.25 * a**5 * np.sin(20.0 * t) ** 2 * np.cos(10.0 * t)
         return u**5 - a**2 * u**3 + drive
 
     def exact_solution(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +226,7 @@ def wave_problem(n: int = 40, t_end: float = 10.0) -> ProblemSpec:
 
     ivp = OscillatoryIVP(
         M=M, force=force, q0=a.copy(), p0=np.zeros(d), t_end=t_end,
-        symmetric=False,
+        symmetric=False, vectorized=True,
     )
     return ProblemSpec(
         name="wave",

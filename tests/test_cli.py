@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from trigcolloc import cli
+from trigcolloc import cli, integrator
+from trigcolloc import lagrange as lg
+from trigcolloc.errors import OracleUnreliableError
 
 
 def run(argv):
@@ -155,6 +157,22 @@ def test_stability_scan_is_deterministic(tmp_path):
         assert r[5] in ("0", "1") and r[6] in ("0", "1")
 
 
+def test_stability_csv_matches_per_cell_formatting(tmp_path):
+    # the 11x9 grid holds the singular points (V, z) = (0, -2) and (0, -6)
+    out = tmp_path / "s.csv"
+    assert run([
+        "stability", "--v-range=0,10", "--z-range=-8,0", "--grid=11x9",
+        "--out", str(out),
+    ]) == cli.EXIT_OK
+    rows = cli.scan_region(lg.gauss2(), (0.0, 10.0), (-8.0, 0.0), (11, 9))
+    assert np.isnan(rows[:, 2]).sum() == 2
+    want = ["V,z,rho,trace,det,stable,periodic"] + [
+        ",".join([cli.fmt(r[k]) for k in range(5)] + [str(int(r[5])), str(int(r[6]))])
+        for r in rows
+    ]
+    assert out.read_text() == "\n".join(want) + "\n"
+
+
 def test_convergence_on_wave_hits_roundoff(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run([
@@ -182,6 +200,38 @@ def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
     assert code == cli.EXIT_OK
     err = capsys.readouterr().err
     assert "least-squares order:" in err
+
+
+def test_convergence_retries_a_refused_reference(tmp_path, capsys):
+    # 8 / min(h) = 320 substeps per unit fail the 1e-10 self-check here;
+    # twice that passes
+    out = tmp_path / "conv_sat.csv"
+    code = run([
+        "convergence", "--problem", "satellite", "--t-end", "2",
+        "--h-list", "0.1,0.05,0.025", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    _, rows = read_csv(out)
+    errors = [float(r[1]) for r in rows]
+    assert errors == sorted(errors, reverse=True)
+    assert 3.5 < float(capsys.readouterr().err.split(":")[1]) < 4.5
+
+
+def test_convergence_gives_up_after_three_retries(monkeypatch, capsys):
+    calls = []
+
+    def refuse(ivp, per_unit, node_set=None):
+        calls.append(per_unit)
+        raise OracleUnreliableError("refused")
+
+    monkeypatch.setattr(integrator, "reference_solve", refuse)
+    code = run([
+        "convergence", "--problem", "satellite", "--t-end", "1",
+        "--h-list", "0.1,0.05,0.025",
+    ])
+    assert code == cli.EXIT_USAGE
+    assert calls == [320, 640, 1280, 2560]
+    assert "refused" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_with_code_3(capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trigcolloc.errors import (
     StageIterationError,
 )
 from trigcolloc.integrator import OscillatoryIVP, SolverConfig
+from trigcolloc.problems import build_problem
 
 LINEAR_DEFECT_TOL = 1e-12
 RNG_SEED = 1729
@@ -221,6 +223,67 @@ def test_step_matches_defining_formula(s, path, mode):
     q_want, p_want, stages_want = defining_step(table, ivp, t, q0, p0, h, r.iterations)
     for got, want in ((r.q, q_want), (r.p, p_want), (r.stages, stages_want)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("name, h", [
+    ("fpu", 0.01), ("klein-gordon", 0.01), ("satellite", 0.05), ("wave", 0.02),
+])
+def test_vectorized_solve_matches_per_row_solve(name, h, mode):
+    ivp = replace(build_problem(name).ivp, t_end=0.5)
+    assert ivp.vectorized
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=6 if mode == "fixed" else 50)
+    batched = it.solve(ivp, cfg)
+    per_row = it.solve(replace(ivp, vectorized=False), cfg)
+    for field in ("q", "p", "energy"):
+        got, want = getattr(batched, field), getattr(per_row, field)
+        if want is None:
+            assert got is None
+            continue
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_force_and_energy_calls_per_step(vectorized, mode):
+    s, d, n_steps, max_iter = 3, 2, 5, 4
+    M = np.diag([1.0, 4.0])
+    calls = {"force": 0, "hamiltonian": 0}
+    shapes = set()
+
+    def force(t, q):
+        calls["force"] += 1
+        shapes.add((np.shape(t), q.shape))
+        return -0.5 * np.sin(q)
+
+    def hamiltonian(q, p):
+        calls["hamiltonian"] += 1
+        return (
+            0.5 * np.vecdot(p, p) + 0.5 * np.vecdot(q @ M, q)
+            - 0.5 * np.cos(q).sum(axis=-1)
+        )
+
+    ivp = OscillatoryIVP(
+        M=M, force=force, q0=[0.3, -0.2], p0=[0.1, 0.4], t_end=0.5,
+        hamiltonian=hamiltonian, vectorized=vectorized,
+    )
+    cfg = SolverConfig(h=0.5 / n_steps, iteration_mode=mode,
+                       max_iter=max_iter if mode == "fixed" else 50)
+    traj = it.solve(ivp, cfg, node_set=lg.gauss_nodes(s))
+    rows_per_call = s if vectorized else 1
+    if mode == "fixed":
+        # max_iter sweeps, then one evaluation at the final stages
+        assert np.all(traj.iterations == max_iter)
+        stage_rows = s * (max_iter + 1) * n_steps
+    else:
+        # the update reuses the forces of the accepting sweep
+        assert np.all(traj.iterations > 1)
+        stage_rows = s * int(traj.iterations.sum())
+    assert calls["force"] * rows_per_call == stage_rows
+    assert shapes == ({((s, 1), (s, d))} if vectorized else {((), (d,))})
+    assert calls["hamiltonian"] == (1 if vectorized else n_steps + 1)
+    assert traj.energy.shape == (n_steps + 1,)
 
 
 def test_contraction_guard_blocks_large_steps():

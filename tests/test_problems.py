@@ -110,6 +110,31 @@ def test_fpu_force_matches_spring_by_spring_loop(m):
         assert abs(spec.potential(x) - pot) <= 1e-14 * pot
 
 
+@pytest.mark.parametrize("n_rows", [2, 7])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_batched_callbacks_match_row_by_row(name, n_rows):
+    spec = build_problem(name)
+    ivp = spec.ivp
+    assert ivp.vectorized
+    rng = np.random.default_rng(RNG_SEED + n_rows)
+    d = ivp.dim
+    # near the initial data, which keeps satellite rows far from r = 0
+    Q = ivp.q0 + 0.1 * (1.0 + np.abs(ivp.q0)) * rng.standard_normal((n_rows, d))
+    P = ivp.p0 + 0.1 * (1.0 + np.abs(ivp.p0)) * rng.standard_normal((n_rows, d))
+    T = rng.uniform(0.0, 2.0, (n_rows, 1))
+
+    def check(batched, rows):
+        rows = np.array(rows)
+        assert np.shape(batched) == rows.shape
+        assert np.abs(batched - rows).max() <= 1e-14 * np.abs(rows).max()
+
+    check(ivp.force(T, Q), [ivp.force(float(T[k, 0]), Q[k]) for k in range(n_rows)])
+    if spec.potential is not None:
+        check(spec.potential(Q), [spec.potential(Q[k]) for k in range(n_rows)])
+    if ivp.hamiltonian is not None:
+        check(ivp.hamiltonian(Q, P), [ivp.hamiltonian(Q[k], P[k]) for k in range(n_rows)])
+
+
 @pytest.mark.parametrize("name", ["satellite", "fpu", "klein-gordon"])
 def test_hamiltonian_is_conserved_along_solve(name):
     spec = build_problem(name, t_end=1.0)
