@@ -21,7 +21,7 @@ from .coeffs import (
     quadrature_weight,
 )
 from .errors import OracleUnreliableError, StageIterationError, TrigCollocError
-from .integrator import SolverConfig, solve
+from .integrator import ERROR_FLOOR, SolverConfig, fit_order, solve
 from .problems import PROBLEMS, ProblemSpec, build_problem
 from .stability import scan_region
 
@@ -193,10 +193,15 @@ def cmd_convergence(manifest: RunManifest) -> int:
     lines = ["h,global_error"]
     lines += [f"{fmt(h)},{fmt(e)}" for h, e in zip(hs, errors)]
     _write(manifest.out, "\n".join(lines) + "\n")
-    log_h = np.log(hs)
-    log_e = np.log(errors)
-    slope = float(np.polyfit(log_h, log_e, 1)[0])
-    print(f"least-squares order: {slope:.4f}", file=sys.stderr)
+    slope, used = fit_order(hs, errors)
+    if slope is None:
+        print(
+            f"least-squares order: n/a ({len(hs) - int(used.sum())} of {len(hs)}"
+            f" errors at or below {ERROR_FLOOR:.3g})",
+            file=sys.stderr,
+        )
+    else:
+        print(f"least-squares order: {slope:.4f}", file=sys.stderr)
     return EXIT_OK
 
 

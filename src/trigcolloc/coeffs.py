@@ -216,7 +216,9 @@ class CoefficientTable:
       propagator    (2d, 2d)    [[phi0, h phi1], [-h M phi1, phi0]] at V = h^2 M
       force_matrix  (2d, s*d)   block column j: [h^2 weights_q[j]; h weights_p[j]]
 
-    The stage pairs phi_stage[i] = (phi0, phi1)(c_i^2 V) enter only the
+    ``stage_offsets`` is the (s, 1) column c_i h, so a step from t
+    evaluates its stage forces at the times t + stage_offsets.  The stage
+    pairs phi_stage[i] = (phi0, phi1)(c_i^2 V) enter only the
     predictor and are not kept.  Tables are immutable; reuse one per
     (nodes, M, h).
     """
@@ -234,6 +236,7 @@ class CoefficientTable:
     stage_matrix: np.ndarray = field(init=False)
     propagator: np.ndarray = field(init=False)
     force_matrix: np.ndarray = field(init=False)
+    stage_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self, phi_stage):
         h = self.h
@@ -258,6 +261,7 @@ class CoefficientTable:
         object.__setattr__(self, "stage_matrix", stage_matrix)
         object.__setattr__(self, "propagator", propagator)
         object.__setattr__(self, "force_matrix", force_matrix)
+        object.__setattr__(self, "stage_offsets", (c * h)[:, None])
 
     @property
     def dim(self) -> int:

@@ -55,6 +55,15 @@ class NodeSet:
         several times a build_node_set, which most callers never need)."""
         return abs_weight_bound(self)
 
+    @functools.cached_property
+    def extrapolation(self) -> np.ndarray:
+        """(s, s) matrix E with E[i, j] = l_j(1 + c_i), computed on first use.
+
+        For values F[j] at the nodes of one step, E @ F evaluates their
+        interpolant at the nodes of the next step (times t + h + c_i h).
+        """
+        return npoly.polyval(1.0 + self.nodes, self.basis_coeffs.T).T
+
     @property
     def s(self) -> int:
         return len(self.nodes)

@@ -121,12 +121,13 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
         G[i + 1, [i + 1, m + i + 1, i, m + i]] = 1.0, -1.0, -1.0, -1.0
     G[m, [m - 1, 2 * m - 1]] = 1.0, 1.0
     GT = G.T.copy()
+    NG = -G
 
     def potential(x: np.ndarray):
         return 0.25 * ((x @ GT) ** 4).sum(axis=-1)
 
     def force(t, x: np.ndarray) -> np.ndarray:
-        return -(((x @ GT) ** 3) @ G)
+        return ((x @ GT) ** 3) @ NG
 
     def hamiltonian(x: np.ndarray, y: np.ndarray):
         return 0.5 * np.vecdot(y, y) + 0.5 * np.vecdot(x @ M, x) + potential(x)

@@ -188,7 +188,8 @@ def test_convergence_on_wave_hits_roundoff(tmp_path, capsys):
     # the semi-discrete wave solution is reproduced to round-off at any
     # step size, so no order can be read off this problem
     assert max(errors) <= 1e-10
-    assert "least-squares order:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "least-squares order: n/a (3 of 3 errors at or below 1e-12)" in err
 
 
 def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
@@ -199,7 +200,19 @@ def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
     ])
     assert code == cli.EXIT_OK
     err = capsys.readouterr().err
-    assert "least-squares order:" in err
+    # without a force the step is exact, so every error is round-off
+    assert "least-squares order: n/a (3 of 3 errors at or below 1e-12)" in err
+
+
+def test_convergence_order_on_fpu(tmp_path, capsys):
+    code = run([
+        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+        "--h-list", "0.1,0.05,0.025", "--out", str(tmp_path / "conv.csv"),
+    ])
+    assert code == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("least-squares order: ")
+    assert 3.8 <= float(err.split(":")[1]) <= 4.2
 
 
 def test_convergence_retries_a_refused_reference(tmp_path, capsys):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from trigcolloc import coeffs as cf
 from trigcolloc import integrator as it
@@ -284,6 +286,168 @@ def test_force_and_energy_calls_per_step(vectorized, mode):
     assert shapes == ({((s, 1), (s, d))} if vectorized else {((), (d,))})
     assert calls["hamiltonian"] == (1 if vectorized else n_steps + 1)
     assert traj.energy.shape == (n_steps + 1,)
+
+
+def per_sweep_stages(table, ivp, t, q, p, cfg, start=None):
+    """The stage iteration written sweep by sweep with a separate residual
+    and threshold reduction; returns (stages, iterations, history)."""
+    ns = table.node_set
+    s, d = ns.s, table.dim
+    pred = table.predictor @ np.concatenate((q, p))
+    stage_t = t + ns.nodes * cfg.h
+    stages = pred.reshape(s, d)
+    if start is not None:
+        stages = (pred + table.stage_matrix @ start.ravel()).reshape(s, d)
+    history = []
+    for sweep in range(1, cfg.max_iter + 1):
+        forces = np.stack([ivp.force(float(stage_t[j]), stages[j]) for j in range(s)])
+        new = (pred + table.stage_matrix @ forces.ravel()).reshape(s, d)
+        res = float(np.abs(new - stages).max())
+        history.append(res)
+        stages = new
+        if cfg.iteration_mode == "tolerance" and res <= cfg.tol * (
+            1.0 + np.abs(stages).max()
+        ):
+            return stages, sweep, history
+    return stages, cfg.max_iter, history
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("path", ["spectral", "series"])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
+    rng = np.random.default_rng(RNG_SEED + 20 * s)
+    d = 5
+    A = rng.standard_normal((d, d))
+    M = A @ A.T / d + np.diag(np.linspace(1.0, 9.0, d))
+    if path == "series":
+        M = M + 0.5 * (A - A.T)
+    B = rng.standard_normal((d, d))
+    force = lambda t, x: -0.3 * x**3 + 0.2 * math.sin(t) * (B @ x)
+    q0, p0 = rng.standard_normal(d), rng.standard_normal(d)
+    h, t = 0.3, 0.7
+    ivp = OscillatoryIVP(M=M, force=force, q0=q0, p0=p0, t_end=1.0)
+    table = cf.build_table(lg.gauss_nodes(s), M, h, path=path)
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=4 if mode == "fixed" else 50)
+    guess = rng.standard_normal((s, d))
+    for start in (None, guess):
+        forces = np.empty((s, d))
+        stages, iters, history = it.fixed_point_stages(
+            table, ivp, t, q0, p0, cfg, forces=forces, start=start
+        )
+        want_stages, want_iters, want_history = per_sweep_stages(
+            table, ivp, t, q0, p0, cfg, start=start
+        )
+        # a max of |x| does not round, so one reduction changes no bit
+        assert np.array_equal(stages, want_stages)
+        assert (iters, history) == (want_iters, want_history)
+
+
+def cold_step_loop(ivp, cfg, ns):
+    """solve written as a loop of step calls started from the predictor;
+    returns (q, p, iterations) per grid point."""
+    n_full, h_last = it._grid(ivp.t_end, cfg.h)
+    path = ivp.coefficient_path()
+    table = cf.build_table(ns, ivp.M, cfg.h, path=path)
+    t, q, p = 0.0, ivp.q0.copy(), ivp.p0.copy()
+    qs, ps, iters = [q], [p], []
+    for k in range(n_full):
+        r = it.step(table, ivp, t, q, p, cfg)
+        t, q, p = (k + 1) * cfg.h, r.q, r.p
+        qs.append(q), ps.append(p), iters.append(r.iterations)
+    if h_last:
+        table = cf.build_table(ns, ivp.M, h_last, path=path)
+        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last))
+        qs.append(r.q), ps.append(r.p), iters.append(r.iterations)
+    return np.array(qs), np.array(ps), np.array(iters)
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("name, h", [
+    ("fpu", 0.01), ("klein-gordon", 0.01), ("satellite", 0.03), ("wave", 0.02),
+])
+def test_warm_started_solve_matches_cold_step_loop(name, h, mode):
+    # satellite at h = 0.03 ends on a trailing partial step
+    ivp = replace(build_problem(name).ivp, t_end=0.5)
+    # two fixed sweeps leave the stages dependent on the first iterate
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=2 if mode == "fixed" else 50)
+    ns = lg.gauss2()
+    traj = it.solve(ivp, cfg, node_set=ns)
+    q, p, iters = cold_step_loop(ivp, cfg, ns)
+    if mode == "fixed":
+        # fixed mode is never warm-started
+        assert np.array_equal(traj.q, q) and np.array_equal(traj.p, p)
+        assert np.array_equal(traj.iterations, iters)
+        return
+    for got, want in ((traj.q, q), (traj.p, p)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # the first step starts cold, so it repeats the loop's first step
+    assert traj.iterations[0] == iters[0]
+    assert np.array_equal(traj.q[1], q[1])
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+def test_solve_warm_starts_full_steps_from_extrapolated_forces(monkeypatch, mode):
+    calls = []
+    plain_step = it.step
+
+    def recording_step(table, ivp, t, q, p, cfg, forces=None, start=None):
+        r = plain_step(table, ivp, t, q, p, cfg, forces=forces, start=start)
+        calls.append((table.h, None if start is None else start.copy(), forces.copy()))
+        return r
+
+    monkeypatch.setattr(it, "step", recording_step)
+    ns = lg.gauss_nodes(3)
+    ivp = replace(build_problem("fpu").ivp, t_end=0.105)
+    it.solve(ivp, SolverConfig(h=0.01, iteration_mode=mode), node_set=ns)
+    assert len(calls) == 11 and calls[-1][0] != 0.01
+    for k, (h, start, _) in enumerate(calls):
+        if mode == "fixed" or k == 0 or h != 0.01:
+            # the first step, the trailing partial step and fixed mode start cold
+            assert start is None
+        else:
+            assert np.array_equal(start, ns.extrapolation @ calls[k - 1][2])
+
+
+@pytest.mark.parametrize("name, overrides, h", [
+    ("fpu", {}, 0.01), ("klein-gordon", {"n": 64}, 0.002),
+])
+def test_warm_start_saves_sweeps(name, overrides, h):
+    ivp = replace(build_problem(name, **overrides).ivp, t_end=1.0)
+    cfg = SolverConfig(h=h)
+    warm = it.solve(ivp, cfg).iterations.mean()
+    cold = cold_step_loop(ivp, cfg, lg.gauss2())[2].mean()
+    assert warm < cold
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    s=st.integers(1, 3),
+    eigenvalues=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 1.0),
+    h=st.floats(1e-3, 0.1),
+    n_steps=st.integers(2, 50),
+)
+def test_warm_start_agrees_with_cold_loop_on_random_spd(d, s, eigenvalues, seed, a, h, n_steps):
+    ns = lg.gauss_nodes(s)
+    assume(it.check_contraction(ns, h, a) < 1.0)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (basis * eigenvalues[:d]) @ basis.T
+    M = 0.5 * (M + M.T)
+    ivp = OscillatoryIVP(
+        M=M, force=lambda t, q: -a * np.sin(q),
+        q0=rng.standard_normal(d), p0=rng.standard_normal(d),
+        t_end=n_steps * h, vectorized=True,
+    )
+    cfg = SolverConfig(h=h)
+    traj = it.solve(ivp, cfg, node_set=ns)
+    q, p, _ = cold_step_loop(ivp, cfg, ns)
+    assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
+    for got, want in ((traj.q, q), (traj.p, p)):
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_contraction_guard_blocks_large_steps():

@@ -94,6 +94,19 @@ def test_node_set_stores_derivatives_and_weight_bound():
                     assert lg.eval_basis_derivative(ns, j, k, x) == npoly.polyval(x, der)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_extrapolation_extends_every_interpolated_polynomial(s):
+    # the monomials z^k, k < s, span every polynomial of degree < s, which
+    # the interpolant through s nodes reproduces
+    for ns in (lg.gauss_nodes(s), lg.build_node_set(np.linspace(0.0, 1.0, s + 2)[1:-1])):
+        E = ns.extrapolation
+        assert E.shape == (s, s)
+        assert ns.extrapolation is E
+        c = ns.nodes
+        for k in range(s):
+            assert np.abs(E @ c**k - (1.0 + c) ** k).max() <= EXACT_TOL
+
+
 def test_weighted_moment_s1_literals():
     ns = lg.build_node_set([0.5])
     assert abs(lg.weighted_moment(ns, 0, 0) - 1.0) < EXACT_TOL
