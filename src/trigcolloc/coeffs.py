@@ -217,9 +217,10 @@ class CoefficientTable:
       force_matrix  (2d, s*d)   block column j: [h^2 weights_q[j]; h weights_p[j]]
 
     ``stage_offsets`` is the (s, 1) column c_i h, so a step from t
-    evaluates its stage forces at the times t + stage_offsets.  The stage
-    pairs phi_stage[i] = (phi0, phi1)(c_i^2 V) enter only the
-    predictor and are not kept.  Tables are immutable; reuse one per
+    evaluates its stage forces at the times t + stage_offsets.  The phi
+    pairs are init-only: phi_main = (phi0, phi1)(V) enters only the
+    propagator and phi_stage[i] = (phi0, phi1)(c_i^2 V) only the
+    predictor, and neither is kept.  Tables are immutable; reuse one per
     (nodes, M, h).
     """
 
@@ -230,7 +231,7 @@ class CoefficientTable:
     weights_q: np.ndarray
     weights_p: np.ndarray
     stage_weights: np.ndarray
-    phi_main: PhiPair
+    phi_main: InitVar[PhiPair]
     phi_stage: InitVar[tuple]
     predictor: np.ndarray = field(init=False)
     stage_matrix: np.ndarray = field(init=False)
@@ -238,7 +239,7 @@ class CoefficientTable:
     force_matrix: np.ndarray = field(init=False)
     stage_offsets: np.ndarray = field(init=False)
 
-    def __post_init__(self, phi_stage):
+    def __post_init__(self, phi_main, phi_stage):
         h = self.h
         c = self.node_set.nodes
         s, d = self.node_set.s, self.dim
@@ -249,7 +250,7 @@ class CoefficientTable:
         stage_matrix = (scale[:, None, None, None] * self.stage_weights).transpose(
             0, 2, 1, 3
         ).reshape(s * d, s * d)
-        phi0, phi1 = self.phi_main.phi0, self.phi_main.phi1
+        phi0, phi1 = phi_main.phi0, phi_main.phi1
         propagator = np.block([[phi0, h * phi1], [-h * (self.M @ phi1), phi0]])
         force_matrix = np.concatenate(
             [

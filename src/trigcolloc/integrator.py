@@ -13,10 +13,23 @@ F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
   update  [q_new; p_new] = propagator @ y + force_matrix @ F
 
 Each sweep fills F with one force call on all s stages when the IVP is
-vectorized, else with one call per stage.  In tolerance mode the update
-reuses the F of the sweep that passed the test, evaluated at the previous
-iterate, which lies within tol * (1 + max |Q|) of the returned stages; in
-fixed mode the update evaluates F once more at the final stages.
+vectorized, else with one call per stage.  Tolerance mode accepts the
+stages Q_k of sweep k on either of two tests, with res_k = max |Q_k - Q_(k-1)|
+and bound = tol * (1 + max |Q_k|):
+
+  residual test     res_k <= bound; the update reuses the F of that sweep,
+                    F(Q_(k-1)), which costs no force call;
+  contraction test  from sweep 2 on, with theta = res_k / res_(k-1) <
+                    CONTRACTION_MAX, theta / (1 - theta) * res_k <= bound, the
+                    classical estimate of |Q_k - Q*| for a contraction
+                    (Hairer & Wanner, Solving ODEs II, IV.8); F is then
+                    evaluated once more at Q_k for the update.
+
+The contraction test saves the sweep that would only confirm convergence:
+its matrix product, residual and tests, not its force call, because the
+update needs F at converged stages and F(Q_(k-1)) is not (Q_(k-1) is
+res_k away from them).  Fixed mode runs max_iter sweeps with no test and
+evaluates F once more at the final stages.
 
 The first iterate is the predictor, Q = predictor @ y, unless the stage
 iteration gets a force guess ``start``: then it is
@@ -52,6 +65,12 @@ from .matfun import is_symmetric
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITER = 50
+
+# The contraction test uses the ratio theta of successive residuals only
+# below this value.  At theta >= 1 the iteration does not contract and the
+# estimate theta / (1 - theta) * res is meaningless (negative); between 1/2
+# and 1 it is at least res, so it cannot pass where the residual test failed.
+CONTRACTION_MAX = 0.5
 
 # Grid snapping: t_end/h within this relative distance of an integer is
 # treated as an exact multiple.
@@ -122,10 +141,11 @@ class OscillatoryIVP:
 class SolverConfig:
     """Step size plus fixed-point iteration policy.
 
-    iteration_mode "tolerance" sweeps until the stage residual falls below
-    tol * (1 + stage norm) (at most max_iter sweeps, else failure);
-    "fixed" runs exactly max_iter sweeps with no convergence test.  In
-    both modes a non-finite residual fails at once.
+    iteration_mode "tolerance" sweeps until the stage residual, or from
+    the second sweep on its contraction estimate theta / (1 - theta) *
+    residual, falls below tol * (1 + stage norm) (at most max_iter sweeps,
+    else failure); "fixed" runs exactly max_iter sweeps with no convergence
+    test.  In both modes a non-finite residual fails at once.
     """
 
     h: float
@@ -213,10 +233,14 @@ def fixed_point_stages(
     forces at the current stages into one (s, d) buffer F and sets the
     stages to predictor @ [q; p] + stage_matrix @ F; one max-reduction over
     |new - previous| and |new| gives both the residual and the size that
-    scales the tolerance.  ``forces``, if given, is that buffer: on return
-    it holds the F of the last sweep, evaluated at the iterate before the
-    returned stages.  A sweep whose residual is not finite raises
-    StageIterationError with the residual history.
+    scales the tolerance.  In tolerance mode the stages are accepted by the
+    residual test or the contraction test (see the module docstring).
+    ``forces``, if given, is that buffer: on return it holds the forces the
+    update uses, those of the last sweep (evaluated at the iterate before
+    the returned stages) after the residual test or in fixed mode, and
+    those at the returned stages after the contraction test.  A sweep
+    whose residual is not finite raises StageIterationError with the
+    residual history.
     """
     ns = table.node_set
     h = cfg.h
@@ -240,6 +264,7 @@ def fixed_point_stages(
     magnitude = np.empty((2, s * d))
     history: list[float] = []
     fixed_mode = cfg.iteration_mode == "fixed"
+    prev = 0.0
     for sweep in range(1, cfg.max_iter + 1):
         _stage_forces(ivp, stage_t, stages.reshape(s, d), forces)
         rows = work[sweep & 1]
@@ -258,8 +283,19 @@ def fixed_point_stages(
                 iterations=sweep,
             )
         stages = new
-        if not fixed_mode and res <= cfg.tol * (1.0 + size):
+        if fixed_mode:
+            continue
+        bound = cfg.tol * (1.0 + size)
+        if res <= bound:
             return stages.reshape(s, d), sweep, history
+        # prev = 0 fails this at sweep 1 and keeps it out of the division.
+        if res < CONTRACTION_MAX * prev:
+            theta = res / prev
+            if theta / (1.0 - theta) * res <= bound:
+                stages = stages.reshape(s, d)
+                _stage_forces(ivp, stage_t, stages, forces)
+                return stages, sweep, history
+        prev = res
     if fixed_mode:
         return stages.reshape(s, d), cfg.max_iter, history
     raise StageIterationError(
@@ -283,12 +319,13 @@ def step(
     """Advance one step of size cfg.h from (t, q, p).
 
     Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F.  In
-    tolerance mode F is the stage forces of the sweep that passed the
-    test, so the update costs no force call; in fixed mode F is evaluated
-    once more at the final stages, so the map is the collocation update
-    at the returned stage values.  ``forces`` (an (s, d) buffer, holding F
-    on return) and ``start`` (an (s, d) force guess for the first stage
-    iterate) are passed on to fixed_point_stages.
+    tolerance mode F is what fixed_point_stages leaves in ``forces``: the
+    forces of the accepting sweep after the residual test (no extra force
+    call), the forces at the returned stages after the contraction test;
+    in fixed mode F is evaluated once more at the final stages, so the map
+    is the collocation update at the returned stage values.  ``forces``
+    (an (s, d) buffer, holding F on return) and ``start`` (an (s, d) force
+    guess for the first stage iterate) are passed on to fixed_point_stages.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")

@@ -180,12 +180,11 @@ def test_acceptance_5_coefficient_three_path_agreement(capsys):
     assert worst <= 1e-10
 
     # Zero matrix: the table must collapse to the classical point-value
-    # tableau l_j(c_i/3)/2, l_j(1/3)/2, l_j(1/2) with unit phi factors.
+    # tableau l_j(c_i/3)/2, l_j(1/3)/2, l_j(1/2) with unit phi factors,
+    # which make the propagator [[phi0, h phi1], [-h M phi1, phi0]] at h = 1
+    # the free flight [[1, 1], [0, 1]].
     table = build_table(G2, np.zeros((1, 1)), 1.0)
-    diff = max(
-        np.abs(table.phi_main.phi0 - 1.0).max(),
-        np.abs(table.phi_main.phi1 - 1.0).max(),
-    )
+    diff = np.abs(table.propagator - np.array([[1.0, 1.0], [0.0, 1.0]])).max()
     for j in range(2):
         diff = max(
             diff,

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,21 @@ def run(argv):
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy takes longer to import than the whole package, and only the
+    # quadrature oracle needs it; a fresh interpreter sees every import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import trigcolloc.cli; "
+        "print(trigcolloc.cli.__file__); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == [cli.__file__, "[]"]
 
 
 def test_solve_writes_expected_csv(tmp_path):

@@ -119,12 +119,14 @@ def test_table_paths_agree_on_random_spd():
     ser_table = cf.build_table(ns, M, h, path="series")
     assert spec_table.path == "spectral"
     assert ser_table.path == "series"
-    for name in ("weights_q", "weights_p", "stage_weights", "force_matrix"):
+    # the main phi pair sits in the propagator, the stage pairs in the predictor
+    for name in (
+        "weights_q", "weights_p", "stage_weights", "force_matrix",
+        "propagator", "predictor",
+    ):
         a = getattr(spec_table, name)
         b = getattr(ser_table, name)
         assert np.abs(a - b).max() < 1e-12
-    assert np.abs(spec_table.phi_main.phi0 - ser_table.phi_main.phi0).max() < 1e-12
-    assert np.abs(spec_table.propagator - ser_table.propagator).max() < 1e-12
 
 
 def test_table_shapes_and_scalings():
@@ -155,7 +157,8 @@ def test_table_shapes_and_scalings():
         pair = mf.phi_pair_spectral(sd, ci * h)
         assert np.abs(table.predictor[blk(i), :d] - pair.phi0).max() == 0.0
         assert np.abs(table.predictor[blk(i), d:] - ci * h * pair.phi1).max() == 0.0
-    phi0, phi1 = table.phi_main.phi0, table.phi_main.phi1
+    main = mf.phi_pair_spectral(sd, h)
+    phi0, phi1 = main.phi0, main.phi1
     assert np.abs(table.propagator[:d, :d] - phi0).max() == 0.0
     assert np.abs(table.propagator[:d, d:] - h * phi1).max() == 0.0
     assert np.abs(table.propagator[d:, d:] - phi0).max() == 0.0
@@ -217,5 +220,6 @@ def test_zero_matrix_table_is_classical_tableau():
             abs(table.weights_p[j, 0, 0] - cf.zero_freq_weight(ns, WeightKind.P, j))
             < TABLEAU_TOL
         )
-    assert abs(table.phi_main.phi0[0, 0] - 1.0) < TABLEAU_TOL
-    assert abs(table.phi_main.phi1[0, 0] - 1.0) < TABLEAU_TOL
+    # propagator [[phi0, h phi1], [-h M phi1, phi0]] with unit phi factors
+    want = np.array([[1.0, h], [0.0, 1.0]])
+    assert np.abs(table.propagator - want).max() < TABLEAU_TOL * h

@@ -176,8 +176,10 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
     if table.path == "spectral":
         sd = mf.decompose_symmetric(M)
         pairs = [mf.phi_pair_spectral(sd, ci * h) for ci in c]
+        main = mf.phi_pair_spectral(sd, h)
     else:
         pairs = [mf.phi_pair_series(ci * ci * h * h * M, scale=ci * h) for ci in c]
+        main = mf.phi_pair_series(h * h * M, scale=h)
     pred = np.stack(
         [pairs[i].phi0 @ q + (c[i] * h) * (pairs[i].phi1 @ p) for i in range(s)]
     )
@@ -188,7 +190,7 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
         forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(s)])
         stages = pred + np.einsum("ijkl,jl->ik", stage_scaled, forces)
     forces = np.stack([ivp.force(stage_t[j], stages[j]) for j in range(s)])
-    phi0, phi1 = table.phi_main.phi0, table.phi_main.phi1
+    phi0, phi1 = main.phi0, main.phi1
     q_new = (
         phi0 @ q + h * (phi1 @ p)
         + np.einsum("jkl,jl->k", h * h * table.weights_q, forces)
@@ -248,7 +250,7 @@ def test_vectorized_solve_matches_per_row_solve(name, h, mode):
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
 @pytest.mark.parametrize("vectorized", [True, False])
-def test_force_and_energy_calls_per_step(vectorized, mode):
+def test_force_and_energy_calls_per_step(monkeypatch, vectorized, mode):
     s, d, n_steps, max_iter = 3, 2, 5, 4
     M = np.diag([1.0, 4.0])
     calls = {"force": 0, "hamiltonian": 0}
@@ -272,25 +274,46 @@ def test_force_and_energy_calls_per_step(vectorized, mode):
     )
     cfg = SolverConfig(h=0.5 / n_steps, iteration_mode=mode,
                        max_iter=max_iter if mode == "fixed" else 50)
+    steps = []  # (StepResult, force calls the step made)
+    plain_step = it.step
+
+    def recording_step(*args, **kwargs):
+        before = calls["force"]
+        r = plain_step(*args, **kwargs)
+        steps.append((r, calls["force"] - before))
+        return r
+
+    monkeypatch.setattr(it, "step", recording_step)
     traj = it.solve(ivp, cfg, node_set=lg.gauss_nodes(s))
+    assert len(steps) == n_steps
     rows_per_call = s if vectorized else 1
     if mode == "fixed":
         # max_iter sweeps, then one evaluation at the final stages
         assert np.all(traj.iterations == max_iter)
         stage_rows = s * (max_iter + 1) * n_steps
     else:
-        # the update reuses the forces of the accepting sweep
         assert np.all(traj.iterations > 1)
-        stage_rows = s * int(traj.iterations.sum())
+        extra = []
+        for r, n_calls in steps:
+            # the residual test reuses the forces of the accepting sweep;
+            # the contraction test evaluates them once at the final stages
+            contraction = r.residual > cfg.tol * (1.0 + np.abs(r.stages).max())
+            sweeps = n_calls * rows_per_call / s
+            extra.append(sweeps - r.iterations)
+            assert extra[-1] == (1 if contraction else 0)
+        assert 1 in extra
+        stage_rows = s * int(traj.iterations.sum() + sum(extra))
     assert calls["force"] * rows_per_call == stage_rows
     assert shapes == ({((s, 1), (s, d))} if vectorized else {((), (d,))})
     assert calls["hamiltonian"] == (1 if vectorized else n_steps + 1)
     assert traj.energy.shape == (n_steps + 1,)
 
 
-def per_sweep_stages(table, ivp, t, q, p, cfg, start=None):
+def per_sweep_stages(table, ivp, t, q, p, cfg, start=None, contraction=True):
     """The stage iteration written sweep by sweep with a separate residual
-    and threshold reduction; returns (stages, iterations, history)."""
+    and threshold reduction; returns (stages, iterations, history, forces),
+    forces being those the update uses.  contraction=False keeps only the
+    residual test."""
     ns = table.node_set
     s, d = ns.s, table.dim
     pred = table.predictor @ np.concatenate((q, p))
@@ -298,18 +321,28 @@ def per_sweep_stages(table, ivp, t, q, p, cfg, start=None):
     stages = pred.reshape(s, d)
     if start is not None:
         stages = (pred + table.stage_matrix @ start.ravel()).reshape(s, d)
+
+    def stage_forces(x):
+        return np.stack([ivp.force(float(stage_t[j]), x[j]) for j in range(s)])
+
     history = []
     for sweep in range(1, cfg.max_iter + 1):
-        forces = np.stack([ivp.force(float(stage_t[j]), stages[j]) for j in range(s)])
+        forces = stage_forces(stages)
         new = (pred + table.stage_matrix @ forces.ravel()).reshape(s, d)
         res = float(np.abs(new - stages).max())
         history.append(res)
         stages = new
-        if cfg.iteration_mode == "tolerance" and res <= cfg.tol * (
-            1.0 + np.abs(stages).max()
-        ):
-            return stages, sweep, history
-    return stages, cfg.max_iter, history
+        if cfg.iteration_mode != "tolerance":
+            continue
+        bound = cfg.tol * (1.0 + np.abs(stages).max())
+        if res <= bound:
+            return stages, sweep, history, forces
+        if contraction and sweep > 1:
+            # Hairer & Wanner's estimate, trusted for a ratio below 1/2
+            theta = res / history[-2]
+            if theta < 0.5 and theta / (1.0 - theta) * res <= bound:
+                return stages, sweep, history, stage_forces(stages)
+    return stages, cfg.max_iter, history, forces
 
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
@@ -330,17 +363,63 @@ def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
     table = cf.build_table(lg.gauss_nodes(s), M, h, path=path)
     cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=4 if mode == "fixed" else 50)
     guess = rng.standard_normal((s, d))
-    for start in (None, guess):
+    # the forces at converged stages start one sweep from the solution, so
+    # the residual test accepts that sweep; the other starts end on the
+    # contraction test
+    converged = per_sweep_stages(table, ivp, t, q0, p0, replace(cfg, max_iter=50))[3]
+    for start in (None, guess, converged):
         forces = np.empty((s, d))
         stages, iters, history = it.fixed_point_stages(
             table, ivp, t, q0, p0, cfg, forces=forces, start=start
         )
-        want_stages, want_iters, want_history = per_sweep_stages(
+        want_stages, want_iters, want_history, want_forces = per_sweep_stages(
             table, ivp, t, q0, p0, cfg, start=start
         )
         # a max of |x| does not round, so one reduction changes no bit
         assert np.array_equal(stages, want_stages)
         assert (iters, history) == (want_iters, want_history)
+        assert np.array_equal(forces, want_forces)
+        if mode == "tolerance":
+            bound = cfg.tol * (1.0 + np.abs(stages).max())
+            assert (history[-1] <= bound) == (start is converged)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.45])
+def test_contraction_test_bounds_the_stage_error(theta):
+    # q'' = kappa q with M = 0 and one Gauss stage: the stage map is
+    # Q -> q0 + theta Q with theta = (h/2)^2 * kappa / 2, so Q* = q0 / (1 - theta)
+    # and the error after sweep k is exactly theta / (1 - theta) * res_k
+    h, kappa = 1.0, 8.0 * theta
+    table = cf.build_table(lg.gauss_nodes(1), np.zeros((1, 1)), h)
+    ivp = OscillatoryIVP(
+        M=np.zeros((1, 1)), force=lambda t, q: kappa * q, q0=[1.0], p0=[0.0], t_end=h
+    )
+    contraction_stops = 0
+    # tol spans one factor 1/theta, so the thresholds fall anywhere between
+    # two successive residuals
+    for tol in np.geomspace(1e-10, 1e-10 / theta, 16):
+        cfg = SolverConfig(h=h, tol=tol)
+        stages, iters, history = it.fixed_point_stages(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
+        bound = tol * (1.0 + abs(stages[0, 0]))
+        assert abs(stages[0, 0] - 1.0 / (1.0 - theta)) <= bound * (1.0 + 1e-4)
+        residual_only = per_sweep_stages(
+            table, ivp, 0.0, ivp.q0, ivp.p0, cfg, contraction=False
+        )[1]
+        assert iters <= residual_only
+        contraction_stops += history[-1] > bound
+    assert contraction_stops > 0
+
+
+def test_contraction_test_rejects_a_growing_iteration():
+    # the stage map of the test above with theta = 1.5: residuals grow by
+    # 1.5 per sweep, where theta / (1 - theta) * res is negative
+    table = cf.build_table(lg.gauss_nodes(1), np.zeros((1, 1)), 1.0)
+    ivp = OscillatoryIVP(
+        M=np.zeros((1, 1)), force=lambda t, q: 12.0 * q, q0=[1.0], p0=[0.0], t_end=1.0
+    )
+    with pytest.raises(StageIterationError) as err:
+        it.fixed_point_stages(table, ivp, 0.0, ivp.q0, ivp.p0, SolverConfig(h=1.0, max_iter=10))
+    assert err.value.iterations == 10
 
 
 def cold_step_loop(ivp, cfg, ns):
@@ -413,11 +492,27 @@ def test_solve_warm_starts_full_steps_from_extrapolated_forces(monkeypatch, mode
     ("fpu", {}, 0.01), ("klein-gordon", {"n": 64}, 0.002),
 ])
 def test_warm_start_saves_sweeps(name, overrides, h):
+    # klein-gordon takes 2 sweeps per step either way, but a cold step
+    # ends on the contraction test and pays a force call for the update
+    # (3.00 calls per step) where a warm one passes the residual test
+    # (2.00); fpu: 3.55 cold, 3.01 warm
     ivp = replace(build_problem(name, **overrides).ivp, t_end=1.0)
+    calls = [0]
+    plain_force = ivp.force
+
+    def force(t, q):
+        calls[0] += 1
+        return plain_force(t, q)
+
+    ivp = replace(ivp, force=force)
     cfg = SolverConfig(h=h)
-    warm = it.solve(ivp, cfg).iterations.mean()
-    cold = cold_step_loop(ivp, cfg, lg.gauss2())[2].mean()
-    assert warm < cold
+    warm = it.solve(ivp, cfg)
+    warm_calls, calls[0] = calls[0], 0
+    cold = cold_step_loop(ivp, cfg, lg.gauss2())
+    cold_calls = calls[0]
+    n_steps = len(warm.iterations)
+    assert warm_calls / n_steps < cold_calls / n_steps
+    assert warm.iterations.mean() <= cold[2].mean()
 
 
 @settings(max_examples=50, deadline=None)
@@ -448,6 +543,63 @@ def test_warm_start_agrees_with_cold_loop_on_random_spd(d, s, eigenvalues, seed,
     assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
     for got, want in ((traj.q, q), (traj.p, p)):
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def residual_rule_solve(ivp, cfg, ns):
+    """solve over full steps with the residual test alone, warm-started as
+    solve is; returns (q, p) at t_end."""
+    n_full, h_last = it._grid(ivp.t_end, cfg.h)
+    assert not h_last
+    d = ivp.dim
+    table = cf.build_table(ns, ivp.M, cfg.h, path=ivp.coefficient_path())
+    t, q, p, start = 0.0, ivp.q0, ivp.p0, None
+    for k in range(n_full):
+        forces = per_sweep_stages(
+            table, ivp, t, q, p, cfg, start=start, contraction=False
+        )[3]
+        y = table.propagator @ np.concatenate((q, p)) + table.force_matrix @ forces.ravel()
+        t, q, p = k * cfg.h + cfg.h, y[:d], y[d:]
+        start = ns.extrapolation @ forces
+    return q, p
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    s=st.integers(1, 3),
+    eigenvalues=st.lists(st.floats(1e-3, 1e4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 20.0),
+    h=st.floats(1e-3, 0.1),
+    n_steps=st.integers(2, 50),
+)
+def test_contraction_test_agrees_with_residual_rule_on_random_spd(
+    d, s, eigenvalues, seed, a, h, n_steps
+):
+    ns = lg.gauss_nodes(s)
+    assume(it.check_contraction(ns, h, a) < 0.5)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (basis * eigenvalues[:d]) @ basis.T
+    M = 0.5 * (M + M.T)
+    rows = [0]
+
+    def force(t, q):
+        rows[0] += len(q) if q.ndim == 2 else 1
+        return -a * np.sin(q)
+
+    ivp = OscillatoryIVP(
+        M=M, force=force, q0=rng.standard_normal(d), p0=rng.standard_normal(d),
+        t_end=n_steps * h, vectorized=True,
+    )
+    cfg = SolverConfig(h=h)
+    traj = it.solve(ivp, cfg, node_set=ns)
+    solve_rows, rows[0] = rows[0], 0
+    q, p = residual_rule_solve(ivp, cfg, ns)
+    for got, want in ((traj.q[-1], q), (traj.p[-1], p)):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # force calls per step, in stage rows so both loops count alike
+    assert solve_rows <= rows[0]
 
 
 def test_contraction_guard_blocks_large_steps():
