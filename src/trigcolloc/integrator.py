@@ -235,7 +235,8 @@ def fixed_point_stages(
     |new - previous| and |new| gives both the residual and the size that
     scales the tolerance.  In tolerance mode the stages are accepted by the
     residual test or the contraction test (see the module docstring).
-    ``forces``, if given, is that buffer: on return it holds the forces the
+    ``forces``, if given, is that buffer and must be a C-contiguous float64
+    (s, d) array (else ValueError): on return it holds the forces the
     update uses, those of the last sweep (evaluated at the iterate before
     the returned stages) after the residual test or in fixed mode, and
     those at the returned stages after the contraction test.  A sweep
@@ -252,28 +253,55 @@ def fixed_point_stages(
                 " reduce the step"
             )
     s, d = ns.s, table.dim
-    stage_matrix = table.stage_matrix
-    pred = table.predictor @ np.concatenate((q, p))
-    stage_t = t + table.stage_offsets
-    stages = pred if start is None else pred + stage_matrix @ start.reshape(s * d)
+    n = s * d
     if forces is None:
         forces = np.empty((s, d))
-    flat_forces = forces.reshape(s * d)
-    # Two alternating work arrays; row 0 holds new - previous, row 1 new.
-    work = np.empty((2, 2, s * d))
-    magnitude = np.empty((2, s * d))
+    elif (
+        forces.shape != (s, d)
+        or forces.dtype != np.float64
+        or not forces.flags.c_contiguous
+    ):
+        # reshape would copy such a buffer, and the sweeps would read stale forces
+        layout = "C-contiguous" if forces.flags.c_contiguous else "non-contiguous"
+        raise ValueError(
+            f"forces must be a C-contiguous float64 ({s}, {d}) array,"
+            f" got a {layout} {forces.dtype} {forces.shape} one"
+        )
+    flat_forces = forces.reshape(n)
+    stage_matrix = table.stage_matrix
+    pred = table.predictor.dot(np.concatenate((q, p)))
+    stage_t = t + table.stage_offsets
+    stages = pred if start is None else pred + stage_matrix.dot(start.reshape(n))
+    stages_sd = stages.reshape(s, d)
+    # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
+    # pair holding (new - previous, new); rows 4-5 take their magnitudes.
+    work = np.empty((6, n))
+    pairs = (work[0:2], work[2:4])
+    news_sd = (work[1].reshape(s, d), work[3].reshape(s, d))
+    magnitude = work[4:6]
+    force = ivp.force if ivp.vectorized else None
     history: list[float] = []
     fixed_mode = cfg.iteration_mode == "fixed"
     prev = 0.0
+    # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
+    # dispatch, not arithmetic, sets its cost.  On a 12x12 operator
+    # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
+    # np.matmul(..., out=), with the same bits, and a ufunc given out= or
+    # axis= by keyword takes 0.1-0.2 us more than one given them by position
+    # (numpy 2.4, one BLAS thread).  Keep these forms.
     for sweep in range(1, cfg.max_iter + 1):
-        _stage_forces(ivp, stage_t, stages.reshape(s, d), forces)
-        rows = work[sweep & 1]
+        if force is None:
+            _stage_forces(ivp, stage_t, stages_sd, forces)
+        else:
+            forces[...] = force(stage_t, stages_sd)
+        odd = sweep & 1
+        rows = pairs[odd]
         new = rows[1]
-        np.matmul(stage_matrix, flat_forces, out=new)
+        stage_matrix.dot(flat_forces, new)
         new += pred
-        np.subtract(new, stages, out=rows[0])
-        np.abs(rows, out=magnitude)
-        res, size = np.maximum.reduce(magnitude, axis=1).tolist()
+        np.subtract(new, stages, rows[0])
+        np.abs(rows, magnitude)
+        res, size = np.maximum.reduce(magnitude, 1).tolist()
         history.append(res)
         if not math.isfinite(res):
             raise StageIterationError(
@@ -283,21 +311,21 @@ def fixed_point_stages(
                 iterations=sweep,
             )
         stages = new
+        stages_sd = news_sd[odd]
         if fixed_mode:
             continue
         bound = cfg.tol * (1.0 + size)
         if res <= bound:
-            return stages.reshape(s, d), sweep, history
+            return stages_sd, sweep, history
         # prev = 0 fails this at sweep 1 and keeps it out of the division.
         if res < CONTRACTION_MAX * prev:
             theta = res / prev
             if theta / (1.0 - theta) * res <= bound:
-                stages = stages.reshape(s, d)
-                _stage_forces(ivp, stage_t, stages, forces)
-                return stages, sweep, history
+                _stage_forces(ivp, stage_t, stages_sd, forces)
+                return stages_sd, sweep, history
         prev = res
     if fixed_mode:
-        return stages.reshape(s, d), cfg.max_iter, history
+        return stages_sd, cfg.max_iter, history
     raise StageIterationError(
         f"stage iteration did not reach tol {cfg.tol:.3g} within "
         f"{cfg.max_iter} sweeps (last residual {history[-1]:.3g})",
@@ -324,21 +352,23 @@ def step(
     call), the forces at the returned stages after the contraction test;
     in fixed mode F is evaluated once more at the final stages, so the map
     is the collocation update at the returned stage values.  ``forces``
-    (an (s, d) buffer, holding F on return) and ``start`` (an (s, d) force
-    guess for the first stage iterate) are passed on to fixed_point_stages.
+    (a C-contiguous float64 (s, d) buffer, holding F on return) and
+    ``start`` (an (s, d) force guess for the first stage iterate) are
+    passed on to fixed_point_stages.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
-    d = table.dim
+    s, d = table.node_set.s, table.dim
     if forces is None:
-        forces = np.empty((table.node_set.s, d))
+        forces = np.empty((s, d))
     stages, iters, history = fixed_point_stages(
         table, ivp, t, q, p, cfg, forces=forces, start=start
     )
     if cfg.iteration_mode == "fixed":
         _stage_forces(ivp, t + table.stage_offsets, stages, forces)
-    y = np.concatenate((q, p))
-    y_new = table.propagator @ y + table.force_matrix @ forces.ravel()
+    # the operator products as in fixed_point_stages: ndarray.dot, not `@`
+    y_new = table.propagator.dot(np.concatenate((q, p)))
+    y_new += table.force_matrix.dot(forces.reshape(s * d))
     return StepResult(
         t=t + cfg.h,
         q=y_new[:d],
@@ -395,12 +425,13 @@ def solve(
     forces = np.empty((ns.s, d))
     extrapolation = ns.extrapolation if cfg.iteration_mode == "tolerance" else None
     start = None
+    start_buf = np.empty((ns.s, d))
     k = 0
     try:
         for _ in range(n_full):
             r = step(table, ivp, t, q, p, cfg, forces=forces, start=start)
             if extrapolation is not None:
-                start = extrapolation @ forces
+                start = extrapolation.dot(forces, start_buf)
             t, q, p = k * cfg.h + cfg.h, r.q, r.p
             k += 1
             t_out[k], q_out[k], p_out[k] = t, q, p

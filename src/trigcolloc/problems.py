@@ -127,7 +127,7 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
         return 0.25 * ((x @ GT) ** 4).sum(axis=-1)
 
     def force(t, x: np.ndarray) -> np.ndarray:
-        return ((x @ GT) ** 3) @ NG
+        return (x.dot(GT) ** 3).dot(NG)
 
     def hamiltonian(x: np.ndarray, y: np.ndarray):
         return 0.5 * np.vecdot(y, y) + 0.5 * np.vecdot(x @ M, x) + potential(x)
