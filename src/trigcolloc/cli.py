@@ -23,7 +23,7 @@ from .coeffs import (
 from .errors import OracleUnreliableError, StageIterationError, TrigCollocError
 from .integrator import ERROR_FLOOR, SolverConfig, fit_order, solve
 from .problems import PROBLEMS, ProblemSpec, build_problem
-from .stability import scan_region
+from .stability import check_scan_window, scan_region
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -209,19 +209,19 @@ def cmd_stability(manifest: RunManifest) -> int:
     ns = _node_set(manifest)
     rows = scan_region(ns, manifest.v_range, manifest.z_range, manifest.grid)
     n_z = manifest.grid[1]
-    # Rows run over z within each V: format each V and z once, and convert
-    # one V row at a time to Python floats (the whole array at once would
-    # hold every cell as a Python object).
-    z_cells = [fmt(z) for z in rows[:n_z, 1].tolist()]
-    lines = ["V,z,rho,trace,det,stable,periodic"]
+    # Rows run over z within each V.  The z cells are the same in every V
+    # row, so they are baked once into %-templates ("%d" prints the 0.0/1.0
+    # flags as 0/1, and "%.16e" matches fmt); each V row is then one
+    # format call over that row's values, converted to Python floats.
+    z_pieces = [
+        f",{fmt(z)},%.16e,%.16e,%.16e,%d,%d\n" for z in rows[:n_z, 1].tolist()
+    ]
+    parts = ["V,z,rho,trace,det,stable,periodic\n"]
     for start in range(0, len(rows), n_z):
         v_cell = fmt(float(rows[start, 0]))
-        block = rows[start:start + n_z, 2:].tolist()
-        lines += [
-            f"{v_cell},{z_cell},{rho:.16e},{tr:.16e},{det:.16e},{int(stab)},{int(per)}"
-            for z_cell, (rho, tr, det, stab, per) in zip(z_cells, block)
-        ]
-    _write(manifest.out, "\n".join(lines) + "\n")
+        template = v_cell + v_cell.join(z_pieces)
+        parts.append(template % tuple(rows[start:start + n_z, 2:].ravel().tolist()))
+    _write(manifest.out, "".join(parts))
     return EXIT_OK
 
 
@@ -366,10 +366,12 @@ def manifest_from_args(args) -> RunManifest:
             raise ValueError(f"need at least 3 step sizes, got {len(h_list)}")
         manifest.h_list = h_list
     if args.command == "stability":
-        manifest.v_range = _parse_pair(args.v_range, "--v-range")
-        manifest.z_range = _parse_pair(args.z_range, "--z-range")
         gv, _, gz = args.grid.partition("x")
-        manifest.grid = (int(gv), int(gz))
+        manifest.v_range, manifest.z_range, manifest.grid = check_scan_window(
+            _parse_pair(args.v_range, "--v-range"),
+            _parse_pair(args.z_range, "--z-range"),
+            (int(gv), int(gz)),
+        )
     return manifest
 
 

@@ -135,36 +135,40 @@ def recursion_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=Non
             f"effective argument {eff:.3g} is at or below the switch "
             f"{LAMBDA_SWITCH}; use the series branch"
         )
-    deg = ns.s - 1
+    # derivative values at 0, 1 and c_i from the node set's cached table;
+    # the (2k+1)-th derivative vanishes once 2k+1 reaches s
+    s_count = ns.s
+    if not 0 <= j < s_count or (i is not None and not 0 <= i < s_count):
+        raise IndexError(f"basis index {j} or stage index {i} out of range for s={s_count}")
+    values = ns.derivative_values
+    at_0 = values[0, j]
+    total, sign = 0.0, 1.0
     if kind is WeightKind.Q:
+        at_1 = values[1, j]
         c, s = math.cos(lam), math.sin(lam)
-        total, sign = 0.0, 1.0
-        for k in range(deg // 2 + 1):
-            d_even_1 = lg.eval_basis_derivative(ns, j, 2 * k, 1.0)
-            d_even_0 = lg.eval_basis_derivative(ns, j, 2 * k, 0.0)
-            d_odd_0 = lg.eval_basis_derivative(ns, j, 2 * k + 1, 0.0)
-            total += sign * (d_even_1 - d_even_0 * c - d_odd_0 * s / lam) / lam ** (2 * k + 2)
+        for k in range(0, s_count, 2):
+            d_odd_0 = at_0[k + 1] if k + 1 < s_count else 0.0
+            total += sign * (at_1[k] - at_0[k] * c - d_odd_0 * s / lam) / lam ** (k + 2)
             sign = -sign
         return total
     if kind is WeightKind.P:
+        at_1 = values[1, j]
         c, s = math.cos(lam), math.sin(lam)
-        total, sign = 0.0, 1.0
-        for k in range(deg // 2 + 1):
-            d_even_0 = lg.eval_basis_derivative(ns, j, 2 * k, 0.0)
-            d_odd_1 = lg.eval_basis_derivative(ns, j, 2 * k + 1, 1.0)
-            d_odd_0 = lg.eval_basis_derivative(ns, j, 2 * k + 1, 0.0)
-            total += sign * (d_even_0 * s + (d_odd_1 - d_odd_0 * c) / lam) / lam ** (2 * k + 1)
+        for k in range(0, s_count, 2):
+            if k + 1 < s_count:
+                d_odd_1, d_odd_0 = at_1[k + 1], at_0[k + 1]
+            else:
+                d_odd_1 = d_odd_0 = 0.0
+            total += sign * (at_0[k] * s + (d_odd_1 - d_odd_0 * c) / lam) / lam ** (k + 1)
             sign = -sign
         return total
+    at_c = values[2 + i, j]
     ci = ns.nodes[i]
     c, s = math.cos(ci * lam), math.sin(ci * lam)
-    total, sign = 0.0, 1.0
-    for k in range(deg // 2 + 1):
-        d_even_c = lg.eval_basis_derivative(ns, j, 2 * k, ci)
-        d_even_0 = lg.eval_basis_derivative(ns, j, 2 * k, 0.0)
-        d_odd_0 = lg.eval_basis_derivative(ns, j, 2 * k + 1, 0.0)
-        total += sign * (d_even_c - d_even_0 * c - d_odd_0 * s / lam) / (
-            ci * ci * lam ** (2 * k + 2)
+    for k in range(0, s_count, 2):
+        d_odd_0 = at_0[k + 1] if k + 1 < s_count else 0.0
+        total += sign * (at_c[k] - at_0[k] * c - d_odd_0 * s / lam) / (
+            ci * ci * lam ** (k + 2)
         )
         sign = -sign
     return total
@@ -220,8 +224,11 @@ class CoefficientTable:
     evaluates its stage forces at the times t + stage_offsets.  The phi
     pairs are init-only: phi_main = (phi0, phi1)(V) enters only the
     propagator and phi_stage[i] = (phi0, phi1)(c_i^2 V) only the
-    predictor, and neither is kept.  Tables are immutable; reuse one per
-    (nodes, M, h).
+    predictor, and neither is kept.  So is p_block, the propagator's
+    -h M phi1(V) block, which each path forms its own way: the series path
+    as the product -h * (M @ phi1), the spectral path as
+    Q diag(-w sin(h w)) Q^T, whose round-off does not grow with ||M||.
+    Tables are immutable; reuse one per (nodes, M, h).
     """
 
     node_set: lg.NodeSet
@@ -233,13 +240,14 @@ class CoefficientTable:
     stage_weights: np.ndarray
     phi_main: InitVar[PhiPair]
     phi_stage: InitVar[tuple]
+    p_block: InitVar[np.ndarray]
     predictor: np.ndarray = field(init=False)
     stage_matrix: np.ndarray = field(init=False)
     propagator: np.ndarray = field(init=False)
     force_matrix: np.ndarray = field(init=False)
     stage_offsets: np.ndarray = field(init=False)
 
-    def __post_init__(self, phi_main, phi_stage):
+    def __post_init__(self, phi_main, phi_stage, p_block):
         h = self.h
         c = self.node_set.nodes
         s, d = self.node_set.s, self.dim
@@ -251,7 +259,7 @@ class CoefficientTable:
             0, 2, 1, 3
         ).reshape(s * d, s * d)
         phi0, phi1 = phi_main.phi0, phi_main.phi1
-        propagator = np.block([[phi0, h * phi1], [-h * (self.M @ phi1), phi0]])
+        propagator = np.block([[phi0, h * phi1], [p_block, phi0]])
         force_matrix = np.concatenate(
             [
                 (h * h * self.weights_q).transpose(1, 0, 2).reshape(d, s * d),
@@ -292,10 +300,12 @@ def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) ->
     M = (Q * sd.freqs**2) @ sd.transform
     phi_main = phi_pair_spectral(sd, h)
     phi_stage = tuple(phi_pair_spectral(sd, ci * h) for ci in ns.nodes)
+    # -h M phi1(h^2 M) = Q diag(-w sin(h w)) Q^T
+    p_block = (Q * (-sd.freqs * np.sin(x))) @ sd.transform
     return CoefficientTable(
         node_set=ns, M=M, h=h, path="spectral",
         weights_q=weights_q, weights_p=weights_p, stage_weights=stage,
-        phi_main=phi_main, phi_stage=phi_stage,
+        phi_main=phi_main, phi_stage=phi_stage, p_block=p_block,
     )
 
 
@@ -361,7 +371,7 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
     return CoefficientTable(
         node_set=ns, M=M, h=h, path="series",
         weights_q=weights_q, weights_p=weights_p, stage_weights=stage,
-        phi_main=phi_main, phi_stage=phi_stage,
+        phi_main=phi_main, phi_stage=phi_stage, p_block=-h * (M @ phi_main.phi1),
     )
 
 

@@ -64,6 +64,20 @@ class NodeSet:
         """
         return npoly.polyval(1.0 + self.nodes, self.basis_coeffs.T).T
 
+    @functools.cached_property
+    def derivative_values(self) -> np.ndarray:
+        """(s + 2, s, s) table of basis-derivative values, computed on first use.
+
+        ``derivative_values[p, j, k]`` is the k-th derivative of l_j at the
+        p-th point of (0, 1, c_1, ..., c_s), evaluated with the same
+        ``polyval`` as eval_basis_derivative, so the two agree bit for bit.
+        The by-parts weight kernels read their endpoint and node values here.
+        """
+        points = np.concatenate(([0.0, 1.0], self.nodes))
+        return npoly.polyval(points, self.derivative_coeffs.transpose(2, 0, 1)).transpose(
+            2, 0, 1
+        )
+
     @property
     def s(self) -> int:
         return len(self.nodes)

@@ -20,6 +20,18 @@ weights are computed once, the stage systems N(z) are solved as one
 stack, and points where N is numerically singular (condition number
 above 1e12) come back as NaN.  Spectral radii come from the closed-form
 2x2 eigenvalues.  The scan orders points row-major in V then z.
+
+The singularity test is screened so that most points need no SVD.  For
+an s x s matrix, sigma_min >= |det N| / sigma_max^(s-1), hence
+
+  cond_2(N) <= ||N||_F^s / |det N|,
+
+which costs one LU determinant and one dot product.  A point whose bound
+is at most 1e10 (a factor 100 below the 1e12 threshold, far more than
+the round-off of either side for s <= 8) is cleared; every other point,
+including those with a zero, NaN or infinite bound, goes to the SVD
+condition number, so the screen never clears a point the SVD would flag.
+On the default Gauss-2 scan only the one singular point reaches the SVD.
 """
 
 from __future__ import annotations
@@ -39,6 +51,10 @@ PERIODIC_RHO_TOL = 1e-9
 
 # Reciprocal condition number below which N = I + zA is treated singular.
 _SINGULAR_RCOND = 1e-12
+
+# Condition bound ||N||_F^s / |det N| at or below which a point is cleared
+# without an SVD; a margin of 100 below the threshold 1 / _SINGULAR_RCOND.
+_SCREEN_BOUND = 1e10
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,22 @@ def spectral_radius_2x2(trace, det):
     return out[()] if out.ndim == 0 else out
 
 
+def _singular(N: np.ndarray) -> np.ndarray:
+    """cond_2(N) > 1 / _SINGULAR_RCOND for a stack of (s, s) matrices.
+
+    The SVD runs only where the screen cond_2 <= ||N||_F^s / |det N| <=
+    _SCREEN_BOUND fails; written as ~(bound <= limit), a NaN bound fails too.
+    """
+    flat = N.reshape(len(N), -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.vecdot(flat, flat) ** (0.5 * N.shape[-1]) / np.abs(np.linalg.det(N))
+    unsure = ~(bound <= _SCREEN_BOUND)
+    singular = np.zeros(len(N), dtype=bool)
+    if unsure.any():
+        singular[unsure] = np.linalg.cond(N[unsure]) > 1.0 / _SINGULAR_RCOND
+    return singular
+
+
 def _stability_batch(ns: lg.NodeSet, V: float, zs: np.ndarray) -> np.ndarray:
     """S(V, z) for every z in zs as an (n, 2, 2) array, NaN where N is singular."""
     if V < 0.0:
@@ -97,7 +129,7 @@ def _stability_batch(ns: lg.NodeSet, V: float, zs: np.ndarray) -> np.ndarray:
     F = np.array([np.cos(c * lam), c * sinc(c * lam)])
     zs = np.asarray(zs, dtype=float)
     N = np.eye(s) + zs[:, None, None] * A
-    singular = np.linalg.cond(N) > 1.0 / _SINGULAR_RCOND
+    singular = _singular(N)
     if singular.any():
         N[singular] = np.eye(s)  # solvable stand-in; those S become NaN
     # y[n, m] = N(z_n)^-1 F_m, one right-hand side per solve; with vecdot
@@ -119,20 +151,35 @@ def stability_matrix(ns: lg.NodeSet, V: float, z: float) -> StabilityMatrix:
     return StabilityMatrix(S=S)
 
 
-def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
-    """Scan S over a (V, z) grid; rows ordered row-major in V then z.
+def check_scan_window(v_range, z_range, grid):
+    """Validate a scan window; returns it as float pairs and an int pair.
 
-    Returns an array with columns (V, z, rho, trace, det, stable,
-    periodic).  Singular stage systems yield rho/trace/det = nan with
-    both flags 0 instead of aborting the scan.
+    Raises ValueError unless every bound is finite, both V bounds are
+    nonnegative and the grid is at least 2x2.
     """
     v_lo, v_hi = map(float, v_range)
     z_lo, z_hi = map(float, z_range)
     n_v, n_z = map(int, grid)
     if n_v < 2 or n_z < 2:
         raise ValueError(f"grid must be at least 2x2, got {n_v}x{n_z}")
-    if v_lo < 0.0:
-        raise ValueError(f"V range must be nonnegative, got lower bound {v_lo}")
+    if not all(map(math.isfinite, (v_lo, v_hi, z_lo, z_hi))):
+        raise ValueError(
+            f"V and z ranges must be finite, got V {v_lo},{v_hi} and z {z_lo},{z_hi}"
+        )
+    if min(v_lo, v_hi) < 0.0:
+        raise ValueError(f"V range must be nonnegative, got {v_lo},{v_hi}")
+    return (v_lo, v_hi), (z_lo, z_hi), (n_v, n_z)
+
+
+def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
+    """Scan S over a (V, z) grid; rows ordered row-major in V then z.
+
+    Returns an array with columns (V, z, rho, trace, det, stable,
+    periodic).  Singular stage systems yield rho/trace/det = nan with
+    both flags 0 instead of aborting the scan.  A window that
+    check_scan_window rejects raises ValueError.
+    """
+    (v_lo, v_hi), (z_lo, z_hi), (n_v, n_z) = check_scan_window(v_range, z_range, grid)
     vs = np.linspace(v_lo, v_hi, n_v)
     zs = np.linspace(z_lo, z_hi, n_z)
     S = np.concatenate([_stability_batch(ns, V, zs) for V in vs])

@@ -192,6 +192,19 @@ def test_stability_csv_matches_per_cell_formatting(tmp_path):
     assert out.read_text() == "\n".join(want) + "\n"
 
 
+@pytest.mark.parametrize(
+    "flag",
+    ["--grid=1x5", "--grid=5x1", "--v-range=-1,5", "--v-range=0,-1",
+     "--v-range=0,nan", "--v-range=0,1e400", "--z-range=-inf,0", "--z-range=0,nan"],
+)
+def test_stability_rejects_bad_windows_with_usage_code(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["stability", flag])
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_convergence_on_wave_hits_roundoff(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run([

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trigcolloc import coeffs as cf
 from trigcolloc import lagrange as lg
@@ -87,6 +89,14 @@ def test_recursion_refuses_small_argument():
     # stage kind dispatches on c_i * lam, so lam may exceed the switch
     with pytest.raises(KernelBranchError):
         cf.recursion_weight(ns, WeightKind.STAGE, 0, 0.6, 0)
+
+
+def test_recursion_weight_rejects_out_of_range_indices():
+    ns = lg.gauss2()
+    for kind, j, i in ((WeightKind.Q, -1, None), (WeightKind.P, 2, None),
+                       (WeightKind.STAGE, 0, -1), (WeightKind.STAGE, 0, 2)):
+        with pytest.raises(IndexError):
+            cf.recursion_weight(ns, kind, j, 10.0, i)
 
 
 def test_series_guard_rejects_large_argument():
@@ -223,3 +233,24 @@ def test_zero_matrix_table_is_classical_tableau():
     # propagator [[phi0, h phi1], [-h M phi1, phi0]] with unit phi factors
     want = np.array([[1.0, h], [0.0, 1.0]])
     assert np.abs(table.propagator - want).max() < TABLEAU_TOL * h
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    eigenvalues=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=3, eigenvalues=[0.0, 8862.0, 8862.0, 0.0], seed=0)
+def test_spectral_propagator_is_time_reversible(d, eigenvalues, seed):
+    # P is the zero-force step; with R = diag(I, -I), R P R P = I exactly.
+    # Its -h M phi1 block, built as Q diag(-w sin(h w)) Q^T, keeps the
+    # defect at round-off (5.6e-16 for the example); formed as the product
+    # -h * (M @ phi1) it was 4.6e-13 there.
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (basis * eigenvalues[:d]) @ basis.T
+    M = 0.5 * (M + M.T)
+    P = cf.build_table(lg.gauss2(), M, 0.1, path="spectral").propagator
+    R = np.concatenate((np.ones(d), -np.ones(d)))
+    assert np.abs((R[:, None] * P * R) @ P - np.eye(2 * d)).max() <= 1e-13

@@ -718,11 +718,11 @@ def test_time_reversal_round_trip():
 
 def round_trip_defect(ns, M, force, q0, p0, h):
     """One step from (q0, p0), one back from (q1, -p1); returns the distance
-    of the result from (q0, -p0) over max(1, |states|) * max(1, |h^2 M|).
+    of the result from (q0, -p0) over max(1, |states|) * max(1, h |M|^(1/2)).
     The second factor is the round-off of the step's linear part: its block
-    -h M phi1 is formed as a product with M, so even with zero force the
-    round trip misses by a few 1e-15 * |h^2 M| (4.6e-13 at eigenvalues 0,
-    8862, 8862 and h = 0.1)."""
+    -h M phi1 = Q diag(-w sin(h w)) Q^T has entries up to the largest
+    frequency w, so even with zero force the round trip misses by a few
+    1e-15 * h w."""
     ivp = OscillatoryIVP(M=M, force=force, q0=q0, p0=p0, t_end=h, vectorized=True)
     table = cf.build_table(ns, M, h)
     cfg = SolverConfig(h=h)
@@ -730,7 +730,7 @@ def round_trip_defect(ns, M, force, q0, p0, h):
     back = it.step(table, ivp, 0.0, fwd.q, -fwd.p, cfg)
     defect = max(np.abs(back.q - q0).max(), np.abs(back.p + p0).max())
     size = max(1.0, np.abs(np.concatenate((q0, p0, fwd.q, fwd.p))).max())
-    return defect / (size * max(1.0, h * h * np.abs(M).sum(axis=1).max()))
+    return defect / (size * max(1.0, h * np.sqrt(np.abs(M).sum(axis=1).max())))
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from trigcolloc import lagrange as lg
@@ -152,3 +154,19 @@ def test_abs_weight_bound_permutation_invariant():
     a = lg.build_node_set([0.2, 0.5, 0.9])
     b = lg.build_node_set([0.9, 0.2, 0.5])
     assert abs(lg.abs_weight_bound(a) - lg.abs_weight_bound(b)) < EXACT_TOL
+
+
+@settings(max_examples=50, deadline=None)
+@given(nodes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=lg.MAX_NODES, unique=True))
+def test_cached_derivative_values_match_eval_basis_derivative(nodes):
+    try:
+        ns = lg.build_node_set(nodes)
+    except InvalidNodesError:
+        assume(False)  # nodes closer than MIN_NODE_GAP
+    table = ns.derivative_values
+    points = [0.0, 1.0, *ns.nodes.tolist()]
+    assert table.shape == (ns.s + 2, ns.s, ns.s)
+    for p, x in enumerate(points):
+        for j in range(ns.s):
+            for k in range(ns.s):
+                assert table[p, j, k] == lg.eval_basis_derivative(ns, j, k, x)

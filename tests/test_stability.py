@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hst
 
 from trigcolloc import lagrange as lg
 from trigcolloc import stability as st
 from trigcolloc.coeffs import WeightKind, scalar_weight
-from trigcolloc.errors import OutsidePeriodicityError, SingularStageSystemError
+from trigcolloc.errors import (
+    InvalidNodesError,
+    OutsidePeriodicityError,
+    SingularStageSystemError,
+)
 from trigcolloc.integrator import OscillatoryIVP, SolverConfig, solve
 from trigcolloc.matfun import sinc
 
@@ -147,6 +153,14 @@ def test_scan_rejects_bad_grids():
         st.scan_region(ns, (0.0, 1.0), (0.0, 1.0), (1, 5))
     with pytest.raises(ValueError):
         st.scan_region(ns, (-1.0, 1.0), (0.0, 1.0), (3, 3))
+    # non-finite bounds, and a negative upper V bound, are refused up front
+    # (not by a LinAlgError, also a ValueError, from inside the scan)
+    for v_range, z_range in (
+        ((0.0, math.nan), (0.0, 1.0)), ((0.0, math.inf), (0.0, 1.0)),
+        ((0.0, 1.0), (-math.inf, 0.0)), ((0.0, -1.0), (0.0, 1.0)),
+    ):
+        with pytest.raises(ValueError, match="ranges? must be"):
+            st.scan_region(ns, v_range, z_range, (3, 3))
 
 
 def test_singular_stage_system_is_reported():
@@ -205,3 +219,60 @@ def test_small_angle_errors_vanish_at_high_order():
             assert abs(prev_phase / phase) > 6.0  # ~2^3
             assert abs(prev_amp / amp) > 12.0  # ~2^4
         prev_phase, prev_amp = phase, amp
+
+
+def _node_set_or_reject(nodes):
+    try:
+        return lg.build_node_set(nodes)
+    except InvalidNodesError:
+        assume(False)  # nodes closer than MIN_NODE_GAP
+
+
+NODE_LISTS = hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    nodes=NODE_LISTS,
+    V=hst.floats(0.0, 100.0),
+    zs=hst.lists(hst.floats(-20.0, 20.0), min_size=1, max_size=4),
+    log_gap=hst.floats(-15.0, -8.0),
+)
+@example(nodes=list(lg.GAUSS2_NODES), V=0.0, zs=[-2.0, -6.0, 1.0], log_gap=-12.0)
+def test_screened_singular_flag_matches_the_svd_test(nodes, V, zs, log_gap):
+    # z = -1/lambda for a real eigenvalue lambda of A makes N = I + z A
+    # (numerically) singular, which the screen must hand to the SVD; moved
+    # off it by a relative gap 10^log_gap, cond(N) lands near the 1e12
+    # threshold, where a screen looser than the SVD test would show
+    ns = _node_set_or_reject(nodes)
+    lam, s = math.sqrt(V), ns.s
+    A = np.array(
+        [[scalar_weight(ns, WeightKind.STAGE, j, lam, i) for j in range(s)] for i in range(s)]
+    )
+    eig = np.linalg.eigvals(A)
+    real = eig.real[(eig.imag == 0.0) & (eig.real != 0.0)]
+    zs = np.concatenate((zs, -1.0 / real, -(1.0 + 10.0**log_gap) / real))
+    N = np.eye(s) + zs[:, None, None] * A
+    want = np.linalg.cond(N) > 1e12
+    assert np.array_equal(st._singular(N), want)
+    S = st._stability_batch(ns, V, zs)
+    assert np.array_equal(np.isnan(S).any(axis=(1, 2)), want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    nodes=NODE_LISTS,
+    v_hi=hst.floats(0.1, 100.0),
+    z_range=hst.tuples(hst.floats(-10.0, 10.0), hst.floats(-10.0, 10.0)),
+    grid=hst.tuples(hst.integers(2, 4), hst.integers(2, 4)),
+)
+def test_scan_matches_pointwise_formula_on_random_grids(nodes, v_hi, z_range, grid):
+    ns = _node_set_or_reject(nodes)
+    rows = st.scan_region(ns, (0.0, v_hi), z_range, grid)
+    vs, zs = np.linspace(0.0, v_hi, grid[0]), np.linspace(*z_range, grid[1])
+    want = np.array([_pointwise_row(ns, V, z) for V in vs for z in zs])
+    singular = np.isnan(want[:, 2])
+    assert np.array_equal(np.isnan(rows[:, 2]), singular)
+    assert np.array_equal(rows[~singular], want[~singular])
+    assert np.array_equal(rows[singular, :2], want[singular, :2])
+    assert np.array_equal(rows[singular, 5:], np.zeros((singular.sum(), 2)))
