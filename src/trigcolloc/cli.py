@@ -341,6 +341,14 @@ def _parse_pair(text: str, name: str):
     return float(parts[0]), float(parts[1])
 
 
+def _parse_grid(text: str):
+    try:
+        n_v, n_z = map(int, text.split("x"))
+    except ValueError:
+        raise ValueError(f"--grid must be 'NVxNZ' with two integers, got {text!r}") from None
+    return n_v, n_z
+
+
 def manifest_from_args(args) -> RunManifest:
     nodes = ()
     if getattr(args, "nodes", None):
@@ -366,11 +374,10 @@ def manifest_from_args(args) -> RunManifest:
             raise ValueError(f"need at least 3 step sizes, got {len(h_list)}")
         manifest.h_list = h_list
     if args.command == "stability":
-        gv, _, gz = args.grid.partition("x")
         manifest.v_range, manifest.z_range, manifest.grid = check_scan_window(
             _parse_pair(args.v_range, "--v-range"),
             _parse_pair(args.z_range, "--z-range"),
-            (int(gv), int(gz)),
+            _parse_grid(args.grid),
         )
     return manifest
 

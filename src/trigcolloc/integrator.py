@@ -44,6 +44,14 @@ step and a trailing partial step (whose h differs) start from the
 predictor, and so does every step in fixed mode: there the result depends
 on the first iterate, and a fixed number of sweeps from the predictor is
 the map that mode promises.
+
+Everything a step needs besides its arithmetic stays the same for a whole
+solve: the operators, the buffers and their views, and the contraction
+guard.  A private _Stepper holds them for one (table, ivp, cfg), so
+``solve`` builds one stepper for its full steps and one for a trailing
+partial step, and each step then only runs the products above in place.
+``step`` and ``fixed_point_stages`` are one-shot wrappers over the same
+stepper, so the sweep and both tests exist in one place.
 """
 
 from __future__ import annotations
@@ -214,6 +222,174 @@ def _stage_forces(
             out[j] = ivp.force(tj, stages[j])
 
 
+class _Stepper:
+    """The steps of one (table, ivp, cfg): operators, buffers and checks.
+
+    Everything that stays the same from step to step is done here once: the
+    contraction guard, the validation of a given ``forces`` buffer, and the
+    allocation of every buffer and view a step writes.  ``stages`` and
+    ``advance`` then do only the arithmetic of the module docstring.  The
+    table must be built for cfg.h, as solve's are; step checks its caller's.
+
+    The state [q; p] a step starts from is ``y``, with halves ``q`` and
+    ``p``; ``load`` sets it, and ``advance`` leaves the new state there.
+    Two state buffers take turns, so the arrays ``y``, ``q``, ``p`` and the
+    stages a step returns are overwritten by later steps: copy what must
+    outlive the next step.
+    """
+
+    def __init__(
+        self,
+        table: CoefficientTable,
+        ivp: OscillatoryIVP,
+        cfg: SolverConfig,
+        forces: np.ndarray | None = None,
+    ):
+        h = cfg.h
+        ns = table.node_set
+        if cfg.enforce_contraction_guard and ivp.lipschitz is not None:
+            factor = check_contraction(ns, h, ivp.lipschitz)
+            if factor >= 1.0:
+                raise ContractionGuardError(
+                    f"contraction factor {factor:.3g} >= 1 at h = {h:.3g};"
+                    " reduce the step"
+                )
+        s, d = ns.s, table.dim
+        n = s * d
+        if forces is None:
+            forces = np.empty((s, d))
+        elif (
+            forces.shape != (s, d)
+            or forces.dtype != np.float64
+            or not forces.flags.c_contiguous
+        ):
+            # reshape would copy such a buffer, and the sweeps would read stale forces
+            layout = "C-contiguous" if forces.flags.c_contiguous else "non-contiguous"
+            raise ValueError(
+                f"forces must be a C-contiguous float64 ({s}, {d}) array,"
+                f" got a {layout} {forces.dtype} {forces.shape} one"
+            )
+        self.table = table
+        self.ivp = ivp
+        self.cfg = cfg
+        self.forces = forces
+        self.stage_t = np.empty((s, 1))
+        self._n = n
+        self._vectorized_force = ivp.force if ivp.vectorized else None
+        self._fixed_mode = cfg.iteration_mode == "fixed"
+        self._flat_forces = forces.reshape(n)
+        self._pred = np.empty(n)
+        self._guess = np.empty(n)
+        self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
+        # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
+        # pair holding (new - previous, new); rows 4-5 take their magnitudes.
+        work = np.empty((6, n))
+        self._pairs = (work[0:2], work[2:4])
+        self._news_sd = (work[1].reshape(s, d), work[3].reshape(s, d))
+        self._magnitude = work[4:6]
+        self._update = np.empty(2 * d)
+        # two [q; p] buffers with their halves: a step reads one, writes the other
+        self._states = tuple((y, y[:d], y[d:]) for y in np.empty((2, 2 * d)))
+        self.y, self.q, self.p = self._states[0]
+        self._next = 1
+
+    def load(self, q: np.ndarray, p: np.ndarray) -> None:
+        """Set the state the next step starts from."""
+        self.q[...] = q
+        self.p[...] = p
+
+    def stages(self, t: float, start: np.ndarray | None = None):
+        """Solve the stage system of a step from (t, y); returns (stages,
+        iterations, residual_history) as fixed_point_stages does, which
+        documents the iteration and what ``self.forces`` holds on return."""
+        table = self.table
+        ivp = self.ivp
+        forces = self.forces
+        flat_forces = self._flat_forces
+        stage_matrix = table.stage_matrix
+        pred = table.predictor.dot(self.y, self._pred)
+        stage_t = np.add(table.stage_offsets, t, self.stage_t)
+        if start is None:
+            stages = pred
+            stages_sd = self._initial_sd[0]
+        else:
+            stages = stage_matrix.dot(start.reshape(self._n), self._guess)
+            stages += pred
+            stages_sd = self._initial_sd[1]
+        pairs = self._pairs
+        news_sd = self._news_sd
+        magnitude = self._magnitude
+        force = self._vectorized_force
+        history: list[float] = []
+        fixed_mode = self._fixed_mode
+        tol = self.cfg.tol
+        max_iter = self.cfg.max_iter
+        prev = 0.0
+        # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
+        # dispatch, not arithmetic, sets its cost.  On a 12x12 operator
+        # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
+        # np.matmul(..., out=), with the same bits, and a ufunc given out= or
+        # axis= by keyword takes 0.1-0.2 us more than one given them by position
+        # (numpy 2.4, one BLAS thread).  Keep these forms.
+        for sweep in range(1, max_iter + 1):
+            if force is None:
+                _stage_forces(ivp, stage_t, stages_sd, forces)
+            else:
+                forces[...] = force(stage_t, stages_sd)
+            odd = sweep & 1
+            rows = pairs[odd]
+            new = rows[1]
+            stage_matrix.dot(flat_forces, new)
+            new += pred
+            np.subtract(new, stages, rows[0])
+            np.abs(rows, magnitude)
+            res, size = np.maximum.reduce(magnitude, 1).tolist()
+            history.append(res)
+            if not math.isfinite(res):
+                raise StageIterationError(
+                    f"stage residual is not finite at sweep {sweep}"
+                    f" (residual history {', '.join(f'{r:.3g}' for r in history)})",
+                    residual=res,
+                    iterations=sweep,
+                )
+            stages = new
+            stages_sd = news_sd[odd]
+            if fixed_mode:
+                continue
+            bound = tol * (1.0 + size)
+            if res <= bound:
+                return stages_sd, sweep, history
+            # prev = 0 fails this at sweep 1 and keeps it out of the division.
+            if res < CONTRACTION_MAX * prev:
+                theta = res / prev
+                if theta / (1.0 - theta) * res <= bound:
+                    _stage_forces(ivp, stage_t, stages_sd, forces)
+                    return stages_sd, sweep, history
+            prev = res
+        if fixed_mode:
+            return stages_sd, max_iter, history
+        raise StageIterationError(
+            f"stage iteration did not reach tol {tol:.3g} within "
+            f"{max_iter} sweeps (last residual {history[-1]:.3g})",
+            residual=history[-1],
+            iterations=max_iter,
+        )
+
+    def advance(self, t: float, start: np.ndarray | None = None):
+        """One step from (t, y): the new state replaces y, q and p; returns
+        what ``stages`` returns.  The update is step's."""
+        stages, iterations, history = self.stages(t, start)
+        if self._fixed_mode:
+            _stage_forces(self.ivp, self.stage_t, stages, self.forces)
+        y_new, q_new, p_new = self._states[self._next]
+        # the operator products as in stages: ndarray.dot, not `@`
+        self.table.propagator.dot(self.y, y_new)
+        y_new += self.table.force_matrix.dot(self._flat_forces, self._update)
+        self._next = 1 - self._next
+        self.y, self.q, self.p = y_new, q_new, p_new
+        return stages, iterations, history
+
+
 def fixed_point_stages(
     table: CoefficientTable,
     ivp: OscillatoryIVP,
@@ -241,97 +417,11 @@ def fixed_point_stages(
     the returned stages) after the residual test or in fixed mode, and
     those at the returned stages after the contraction test.  A sweep
     whose residual is not finite raises StageIterationError with the
-    residual history.
+    residual history.  One call is one step of a one-shot _Stepper.
     """
-    ns = table.node_set
-    h = cfg.h
-    if cfg.enforce_contraction_guard and ivp.lipschitz is not None:
-        factor = check_contraction(ns, h, ivp.lipschitz)
-        if factor >= 1.0:
-            raise ContractionGuardError(
-                f"contraction factor {factor:.3g} >= 1 at h = {h:.3g};"
-                " reduce the step"
-            )
-    s, d = ns.s, table.dim
-    n = s * d
-    if forces is None:
-        forces = np.empty((s, d))
-    elif (
-        forces.shape != (s, d)
-        or forces.dtype != np.float64
-        or not forces.flags.c_contiguous
-    ):
-        # reshape would copy such a buffer, and the sweeps would read stale forces
-        layout = "C-contiguous" if forces.flags.c_contiguous else "non-contiguous"
-        raise ValueError(
-            f"forces must be a C-contiguous float64 ({s}, {d}) array,"
-            f" got a {layout} {forces.dtype} {forces.shape} one"
-        )
-    flat_forces = forces.reshape(n)
-    stage_matrix = table.stage_matrix
-    pred = table.predictor.dot(np.concatenate((q, p)))
-    stage_t = t + table.stage_offsets
-    stages = pred if start is None else pred + stage_matrix.dot(start.reshape(n))
-    stages_sd = stages.reshape(s, d)
-    # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
-    # pair holding (new - previous, new); rows 4-5 take their magnitudes.
-    work = np.empty((6, n))
-    pairs = (work[0:2], work[2:4])
-    news_sd = (work[1].reshape(s, d), work[3].reshape(s, d))
-    magnitude = work[4:6]
-    force = ivp.force if ivp.vectorized else None
-    history: list[float] = []
-    fixed_mode = cfg.iteration_mode == "fixed"
-    prev = 0.0
-    # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
-    # dispatch, not arithmetic, sets its cost.  On a 12x12 operator
-    # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
-    # np.matmul(..., out=), with the same bits, and a ufunc given out= or
-    # axis= by keyword takes 0.1-0.2 us more than one given them by position
-    # (numpy 2.4, one BLAS thread).  Keep these forms.
-    for sweep in range(1, cfg.max_iter + 1):
-        if force is None:
-            _stage_forces(ivp, stage_t, stages_sd, forces)
-        else:
-            forces[...] = force(stage_t, stages_sd)
-        odd = sweep & 1
-        rows = pairs[odd]
-        new = rows[1]
-        stage_matrix.dot(flat_forces, new)
-        new += pred
-        np.subtract(new, stages, rows[0])
-        np.abs(rows, magnitude)
-        res, size = np.maximum.reduce(magnitude, 1).tolist()
-        history.append(res)
-        if not math.isfinite(res):
-            raise StageIterationError(
-                f"stage residual is not finite at sweep {sweep}"
-                f" (residual history {', '.join(f'{r:.3g}' for r in history)})",
-                residual=res,
-                iterations=sweep,
-            )
-        stages = new
-        stages_sd = news_sd[odd]
-        if fixed_mode:
-            continue
-        bound = cfg.tol * (1.0 + size)
-        if res <= bound:
-            return stages_sd, sweep, history
-        # prev = 0 fails this at sweep 1 and keeps it out of the division.
-        if res < CONTRACTION_MAX * prev:
-            theta = res / prev
-            if theta / (1.0 - theta) * res <= bound:
-                _stage_forces(ivp, stage_t, stages_sd, forces)
-                return stages_sd, sweep, history
-        prev = res
-    if fixed_mode:
-        return stages_sd, cfg.max_iter, history
-    raise StageIterationError(
-        f"stage iteration did not reach tol {cfg.tol:.3g} within "
-        f"{cfg.max_iter} sweeps (last residual {history[-1]:.3g})",
-        residual=history[-1],
-        iterations=cfg.max_iter,
-    )
+    stepper = _Stepper(table, ivp, cfg, forces=forces)
+    stepper.load(q, p)
+    return stepper.stages(t, start)
 
 
 def step(
@@ -354,25 +444,18 @@ def step(
     is the collocation update at the returned stage values.  ``forces``
     (a C-contiguous float64 (s, d) buffer, holding F on return) and
     ``start`` (an (s, d) force guess for the first stage iterate) are
-    passed on to fixed_point_stages.
+    passed on to the stage iteration.  Each call is one step of a one-shot
+    _Stepper, the stepper that solve runs for all its steps.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
-    s, d = table.node_set.s, table.dim
-    if forces is None:
-        forces = np.empty((s, d))
-    stages, iters, history = fixed_point_stages(
-        table, ivp, t, q, p, cfg, forces=forces, start=start
-    )
-    if cfg.iteration_mode == "fixed":
-        _stage_forces(ivp, t + table.stage_offsets, stages, forces)
-    # the operator products as in fixed_point_stages: ndarray.dot, not `@`
-    y_new = table.propagator.dot(np.concatenate((q, p)))
-    y_new += table.force_matrix.dot(forces.reshape(s * d))
+    stepper = _Stepper(table, ivp, cfg, forces=forces)
+    stepper.load(q, p)
+    stages, iters, history = stepper.advance(t, start)
     return StepResult(
         t=t + cfg.h,
-        q=y_new[:d],
-        p=y_new[d:],
+        q=stepper.q,
+        p=stepper.p,
         iterations=iters,
         residual=history[-1] if history else 0.0,
         stages=stages,
@@ -399,8 +482,8 @@ def solve(
 ) -> Trajectory:
     """Integrate to t_end on a uniform grid (plus one trailing partial step).
 
-    One coefficient table serves all full steps; a trailing partial step
-    gets its own table.  In tolerance mode every full step after the first
+    One coefficient table and one _Stepper serve all full steps; a trailing
+    partial step gets its own table and stepper.  In tolerance mode every full step after the first
     starts its stage iteration from the previous step's force interpolant
     (start = node_set.extrapolation @ F_prev); the first step, a trailing
     partial step and fixed mode start from the predictor.
@@ -420,29 +503,35 @@ def solve(
     t_out[0] = 0.0
     q_out[0] = ivp.q0
     p_out[0] = ivp.p0
-    table = build_table(ns, ivp.M, cfg.h, path=path) if n_full else None
-    t, q, p = 0.0, ivp.q0.copy(), ivp.p0.copy()
-    forces = np.empty((ns.s, d))
+    h = cfg.h
+    t, q, p = 0.0, ivp.q0, ivp.p0
     extrapolation = ns.extrapolation if cfg.iteration_mode == "tolerance" else None
     start = None
-    start_buf = np.empty((ns.s, d))
     k = 0
     try:
-        for _ in range(n_full):
-            r = step(table, ivp, t, q, p, cfg, forces=forces, start=start)
-            if extrapolation is not None:
-                start = extrapolation.dot(forces, start_buf)
-            t, q, p = k * cfg.h + cfg.h, r.q, r.p
-            k += 1
-            t_out[k], q_out[k], p_out[k] = t, q, p
-            iters[k - 1], resid[k - 1] = r.iterations, r.residual
+        if n_full:
+            stepper = _Stepper(build_table(ns, ivp.M, h, path=path), ivp, cfg)
+            stepper.load(q, p)
+            advance = stepper.advance
+            forces = stepper.forces
+            start_buf = np.empty_like(forces)
+            for _ in range(n_full):
+                _, n_sweeps, history = advance(t, start)
+                if extrapolation is not None:
+                    start = extrapolation.dot(forces, start_buf)
+                t = k * h + h
+                k += 1
+                t_out[k], q_out[k], p_out[k] = t, stepper.q, stepper.p
+                iters[k - 1], resid[k - 1] = n_sweeps, history[-1]
+            q, p = stepper.q, stepper.p
         if h_last:
             cfg_last = replace(cfg, h=h_last)
-            table_last = build_table(ns, ivp.M, h_last, path=path)
-            r = step(table_last, ivp, t, q, p, cfg_last, forces=forces)
+            stepper = _Stepper(build_table(ns, ivp.M, h_last, path=path), ivp, cfg_last)
+            stepper.load(q, p)
+            _, n_sweeps, history = stepper.advance(t)
             k += 1
-            t_out[k], q_out[k], p_out[k] = ivp.t_end, r.q, r.p
-            iters[k - 1], resid[k - 1] = r.iterations, r.residual
+            t_out[k], q_out[k], p_out[k] = ivp.t_end, stepper.q, stepper.p
+            iters[k - 1], resid[k - 1] = n_sweeps, history[-1]
     except StageIterationError as exc:
         exc.step_index = k
         raise

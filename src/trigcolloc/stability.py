@@ -141,8 +141,17 @@ def _stability_batch(ns: lg.NodeSet, V: float, zs: np.ndarray) -> np.ndarray:
     return S
 
 
+def _check_point(V: float, z: float) -> None:
+    """ValueError naming V or z unless both are finite floats."""
+    for name, value in (("V", V), ("z", z)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def stability_matrix(ns: lg.NodeSet, V: float, z: float) -> StabilityMatrix:
-    """S(V, z) for the test equation; raises on a singular stage system."""
+    """S(V, z) for the test equation; raises ValueError unless V and z are
+    finite, SingularStageSystemError on a singular stage system."""
+    _check_point(V, z)
     S = _stability_batch(ns, V, np.array([z]))[0]
     if math.isnan(S[0, 0]):
         raise SingularStageSystemError(
@@ -197,10 +206,11 @@ def dispersion_dissipation(ns: lg.NodeSet, V: float, z: float) -> tuple[float, f
     """Phase error zeta - arccos(tr / (2 sqrt(det))) and amplitude error
     1 - sqrt(det) at zeta = sqrt(V + z).
 
-    Requires V + z > 0 and a periodic-regime S (det > 0 and
-    |tr| <= 2 sqrt(det)); outside that an OutsidePeriodicityError is
-    raised.
+    Requires finite V and z (else ValueError), V + z > 0 and a
+    periodic-regime S (det > 0 and |tr| <= 2 sqrt(det)); outside that an
+    OutsidePeriodicityError is raised.
     """
+    _check_point(V, z)
     if V + z <= 0.0:
         raise OutsidePeriodicityError(f"V + z must be > 0, got {V + z:.6g}")
     sm = stability_matrix(ns, V, z)

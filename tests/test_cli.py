@@ -205,6 +205,16 @@ def test_stability_rejects_bad_windows_with_usage_code(flag, capsys):
     assert "error:" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("grid", ["3x", "x3", "axb", "3", "3x4x5"])
+def test_stability_rejects_malformed_grid_by_name(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["stability", f"--grid={grid}"])
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--grid" in captured.err and "NVxNZ" in captured.err
+    assert captured.out == ""
+
+
 def test_convergence_on_wave_hits_roundoff(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code = run([

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +189,17 @@ def test_step_rejects_a_forces_buffer_it_cannot_fill_in_place(forces):
     assert np.array_equal(r.q, own.q) and np.array_equal(r.p, own.p)
 
 
+def test_step_rejects_a_table_built_for_another_step():
+    # the stage iteration alone does not use the table's h in an update
+    ivp = build_problem("fpu").ivp
+    table = cf.build_table(lg.gauss2(), ivp.M, 0.01)
+    cfg = SolverConfig(h=0.02)
+    with pytest.raises(ValueError, match="does not match config step"):
+        it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
+    stages, _, _ = it.fixed_point_stages(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
+    assert stages.shape == (2, ivp.dim)
+
+
 def defining_step(table, ivp, t, q, p, h, sweeps):
     """One step from the raw weights and phi pairs, stage by stage.
 
@@ -298,16 +310,20 @@ def test_force_and_energy_calls_per_step(monkeypatch, vectorized, mode):
     )
     cfg = SolverConfig(h=0.5 / n_steps, iteration_mode=mode,
                        max_iter=max_iter if mode == "fixed" else 50)
-    steps = []  # (StepResult, force calls the step made)
-    plain_step = it.step
+    steps = []  # (step record, force calls the step made)
+    plain_advance = it._Stepper.advance
 
-    def recording_step(*args, **kwargs):
+    def recording_advance(self, t, start=None):
         before = calls["force"]
-        r = plain_step(*args, **kwargs)
+        stages, iterations, history = plain_advance(self, t, start)
+        # the stepper reuses its buffers, so keep copies
+        r = SimpleNamespace(
+            iterations=iterations, residual=history[-1], stages=stages.copy()
+        )
         steps.append((r, calls["force"] - before))
-        return r
+        return stages, iterations, history
 
-    monkeypatch.setattr(it, "step", recording_step)
+    monkeypatch.setattr(it._Stepper, "advance", recording_advance)
     traj = it.solve(ivp, cfg, node_set=lg.gauss_nodes(s))
     assert len(steps) == n_steps
     rows_per_call = s if vectorized else 1
@@ -492,14 +508,14 @@ def test_warm_started_solve_matches_cold_step_loop(name, h, mode):
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
 def test_solve_warm_starts_full_steps_from_extrapolated_forces(monkeypatch, mode):
     calls = []
-    plain_step = it.step
+    plain_advance = it._Stepper.advance
 
-    def recording_step(table, ivp, t, q, p, cfg, forces=None, start=None):
-        r = plain_step(table, ivp, t, q, p, cfg, forces=forces, start=start)
-        calls.append((table.h, None if start is None else start.copy(), forces.copy()))
+    def recording_advance(self, t, start=None):
+        r = plain_advance(self, t, start)
+        calls.append((self.table.h, None if start is None else start.copy(), self.forces.copy()))
         return r
 
-    monkeypatch.setattr(it, "step", recording_step)
+    monkeypatch.setattr(it._Stepper, "advance", recording_advance)
     ns = lg.gauss_nodes(3)
     ivp = replace(build_problem("fpu").ivp, t_end=0.105)
     it.solve(ivp, SolverConfig(h=0.01, iteration_mode=mode), node_set=ns)
@@ -547,6 +563,126 @@ def test_solve_is_the_warm_step_loop_exactly(name, h):
     want = warm_step_loop(ivp, cfg, ns)
     for got, field in zip((traj.q, traj.p, traj.iterations, traj.residuals), want):
         assert np.array_equal(got, field)
+
+
+def step_loop(ivp, cfg, ns):
+    """solve in either mode written as a loop of step calls: in tolerance
+    mode each full step after the first starts from the extrapolated forces
+    of the step before; the times are solve's, t = k h + h after step k.
+    Returns (q, p, iterations, residuals) per grid point."""
+    n_full, h_last = it._grid(ivp.t_end, cfg.h)
+    path = ivp.coefficient_path()
+    forces = np.empty((ns.s, ivp.dim))
+    t, q, p, start = 0.0, ivp.q0, ivp.p0, None
+    qs, ps, iters, resid = [q], [p], [], []
+    if n_full:
+        table = cf.build_table(ns, ivp.M, cfg.h, path=path)
+    for k in range(n_full):
+        r = it.step(table, ivp, t, q, p, cfg, forces=forces, start=start)
+        if cfg.iteration_mode == "tolerance":
+            start = ns.extrapolation @ forces
+        t, q, p = k * cfg.h + cfg.h, r.q, r.p
+        qs.append(q), ps.append(p), iters.append(r.iterations), resid.append(r.residual)
+    if h_last:
+        table = cf.build_table(ns, ivp.M, h_last, path=path)
+        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last), forces=forces)
+        qs.append(r.q), ps.append(r.p), iters.append(r.iterations), resid.append(r.residual)
+    return np.array(qs), np.array(ps), np.array(iters), np.array(resid)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    s=st.integers(1, 4),
+    eigenvalues=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 1.0),
+    h=st.floats(1e-3, 0.1),
+    n_steps=st.integers(1, 20),
+    partial=st.sampled_from([0.0, 0.25, 0.6]),
+    mode=st.sampled_from(["tolerance", "fixed"]),
+    max_iter=st.integers(1, 4),
+    vectorized=st.booleans(),
+)
+def test_solve_is_the_step_loop_exactly_on_random_spd(
+    d, s, eigenvalues, seed, a, h, n_steps, partial, mode, max_iter, vectorized
+):
+    # one stepper per solve must give the bits of one step call per step
+    ns = lg.gauss_nodes(s)
+    assume(it.check_contraction(ns, h, a) < 0.5)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (basis * eigenvalues[:d]) @ basis.T
+    M = 0.5 * (M + M.T)
+    ivp = OscillatoryIVP(
+        M=M, force=lambda t, q: -a * np.sin(q) + 0.1 * a * np.cos(t),
+        q0=rng.standard_normal(d), p0=rng.standard_normal(d),
+        t_end=(n_steps + partial) * h, vectorized=vectorized,
+    )
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=max_iter if mode == "fixed" else 50)
+    traj = it.solve(ivp, cfg, node_set=ns)
+    want = step_loop(ivp, cfg, ns)
+    assert len(traj.iterations) == n_steps + (partial > 0.0)
+    for got, field in zip((traj.q, traj.p, traj.iterations, traj.residuals), want):
+        assert np.array_equal(got, field)
+
+
+@pytest.mark.parametrize("name, h, t_end, vectorized", [
+    ("fpu", 0.01, 0.105, True), ("satellite", 0.05, 0.33, False),
+])
+def test_force_that_solves_the_same_problem_leaves_solve_unchanged(name, h, t_end, vectorized):
+    # every force call runs a whole solve of the same IVP, so a buffer kept
+    # by the module, the table or the node set between calls would be
+    # overwritten mid-step
+    ivp = replace(build_problem(name).ivp, t_end=t_end, vectorized=vectorized)
+    cfg = SolverConfig(h=h)
+    ns = lg.gauss_nodes(3)
+    plain = it.solve(ivp, cfg, node_set=ns)
+    plain_force = ivp.force
+    depth = [0]
+    nested = []
+
+    def force(t, q):
+        if depth[0] == 0:  # the nested solve itself runs the plain force
+            depth[0] += 1
+            nested.append(it.solve(ivp, cfg, node_set=ns))
+            depth[0] -= 1
+        return plain_force(t, q)
+
+    ivp.force = force
+    outer = it.solve(ivp, cfg, node_set=ns)
+    assert len(nested) > len(outer.iterations)
+    for traj in (outer, nested[0], nested[-1]):
+        for field in ("q", "p", "iterations", "residuals", "energy"):
+            assert np.array_equal(getattr(traj, field), getattr(plain, field))
+
+
+@pytest.mark.parametrize("mode", ["tolerance", "fixed"])
+@pytest.mark.parametrize("vectorized", [True, False])
+@pytest.mark.parametrize("t_fail, failing_step", [(0.43, 4), (0.51, 5)])
+def test_stage_iteration_failure_after_some_steps_carries_its_step(
+    t_fail, failing_step, vectorized, mode
+):
+    # h = 0.1 and t_end = 0.55: five full steps, then a partial one of 0.05.
+    # The force turns to NaN once a stage time passes t_fail; the Gauss-2
+    # stage times are 0.321, 0.379 in step 3, 0.421, 0.479 in step 4 and
+    # 0.511, 0.539 in the partial step 5
+    def force(t, q):
+        if np.max(t) > t_fail:
+            return np.full_like(q, np.nan)
+        return -np.sin(q)
+
+    ivp = OscillatoryIVP(
+        M=np.diag([1.0, 9.0]), force=force, q0=[0.5, -0.1], p0=[0.0, 0.3],
+        t_end=0.55, vectorized=vectorized,
+    )
+    cfg = SolverConfig(h=0.1, iteration_mode=mode, max_iter=4 if mode == "fixed" else 50)
+    with pytest.raises(StageIterationError) as err:
+        it.solve(ivp, cfg)
+    assert err.value.step_index == failing_step
+    assert err.value.iterations == 1
+    assert math.isnan(err.value.residual)
+    assert "residual history nan" in str(err.value)
 
 
 @pytest.mark.parametrize("name, overrides, h", [

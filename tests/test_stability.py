@@ -186,6 +186,18 @@ def test_dispersion_dissipation_rejects_degenerate_inputs():
         st.dispersion_dissipation(ns, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["V", "z"])
+@pytest.mark.parametrize("analysis", [st.stability_matrix, st.dispersion_dissipation])
+def test_nonfinite_point_is_rejected_by_name(analysis, name, value):
+    # without the check, nan ended in an SVD failure, V = inf in a math
+    # domain error and z = inf in SingularStageSystemError, none naming it
+    point = {"V": 1.0, "z": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+        analysis(lg.gauss2(), point["V"], point["z"])
+    assert type(err.value) is ValueError
+
+
 def test_outside_periodicity_raises():
     # (9, -8) puts S in the real-eigenvalue regime: |tr| > 2 sqrt(det)
     ns = lg.gauss2()
