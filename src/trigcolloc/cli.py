@@ -60,27 +60,6 @@ class RunManifest:
     grid: tuple = (201, 201)
     out: str | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "problem": self.problem,
-            "overrides": dict(self.overrides),
-            "nodes": list(self.nodes),
-            "h": self.h,
-            "h_list": list(self.h_list),
-            "t_end": self.t_end,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "iteration_mode": self.iteration_mode,
-            "zero_force": self.zero_force,
-            "m_scalar": self.m_scalar,
-            "path": self.path,
-            "v_range": list(self.v_range),
-            "z_range": list(self.z_range),
-            "grid": list(self.grid),
-            "out": self.out,
-        }
-
 
 def _node_set(manifest: RunManifest) -> lg.NodeSet:
     if manifest.nodes:
@@ -268,22 +247,23 @@ def cmd_coeffs(manifest: RunManifest) -> int:
 def _add_common(p: argparse.ArgumentParser, need_h: bool = False) -> None:
     p.add_argument("--nodes", type=str, default=None,
                    help="comma-separated collocation nodes in [0,1] (default Gauss-2)")
-    p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--iteration-mode", choices=("tolerance", "fixed"),
-                   default="tolerance")
     p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
     if need_h:
         p.add_argument("--h", type=float, required=True, help="step size")
 
 
 def _add_problem(p: argparse.ArgumentParser) -> None:
+    """Problem and stage-iteration flags of the commands that integrate."""
     p.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
     p.add_argument("--omega", type=float, default=None, help="frequency override (fpu)")
     p.add_argument("--n", type=int, default=None, help="grid size override (klein-gordon, wave)")
     p.add_argument("--t-end", type=float, default=None)
     p.add_argument("--zero-force", action="store_true",
                    help="replace the force with 0 (linear variant)")
+    p.add_argument("--tol", type=float, default=1e-14)
+    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--iteration-mode", choices=("tolerance", "fixed"),
+                   default="tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,9 +340,9 @@ def manifest_from_args(args) -> RunManifest:
         nodes=nodes,
         h=getattr(args, "h", None),
         t_end=getattr(args, "t_end", None),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        iteration_mode=args.iteration_mode,
+        tol=getattr(args, "tol", RunManifest.tol),
+        max_iter=getattr(args, "max_iter", RunManifest.max_iter),
+        iteration_mode=getattr(args, "iteration_mode", RunManifest.iteration_mode),
         zero_force=getattr(args, "zero_force", False),
         m_scalar=getattr(args, "m_scalar", None),
         path=getattr(args, "path", "auto"),

@@ -1,30 +1,32 @@
 """Weight kernels and coefficient tables for the collocation update.
 
-The one-step map needs three families of integrals over [0, 1], one per
-weight kind:
+The one-step map needs two families of integrals over [0, 1], with V = h^2 M:
 
-  q (position update):   int l_j(z) (1-z) phi1((1-z)^2 V) dz
+  q and stage, scale c:  int l_j(c z) (1-z) phi1((1-z)^2 c^2 V) dz
   p (momentum update):   int l_j(z) phi0((1-z)^2 V) dz
-  stage (coupling):      int l_j(c_i z) (1-z) phi1((1-z)^2 c_i^2 V) dz
 
-with V = h^2 M.  For symmetric PSD M each integral diagonalizes into
-scalar kernels per frequency; those scalars have two evaluation branches:
-an integration-by-parts closed form (accurate for large argument) and a
-power series in the squared frequency built from exact basis moments
-(accurate for small argument).  A third, slower path, adaptive quadrature
-of the defining integral, serves as the cross-check oracle.
+The stage coupling takes c = c_i, and the position (q) update is the same
+integral at c = 1.  Each evaluator codes it once, at the kind's scale: with
+c = 1.0 every product and cosine rounds as a q-only formula would, so a
+stage weight at a node c_i = 1 equals the q weight bit for bit.
+
+For symmetric PSD M each integral diagonalizes into scalar kernels per
+frequency, with two branches on the effective argument c * lam: an
+integration-by-parts closed form (large argument) and a power series in the
+squared frequency from exact basis moments (small argument; at lam = 0 it
+is the exact polynomial limit).  Adaptive quadrature of the defining
+integral is the cross-check oracle.
 
 The closed forms follow from repeated integration by parts.  For a basis
-polynomial l of degree <= s-1 and lam > 0 (writing c = cos lam, s = sin lam):
+polynomial l of degree <= s-1 and lam > 0, writing C = cos(c lam) and
+S = sin(c lam), with c = 1 for p:
 
-  q-kind:  sum_k (-1)^k lam^(-2k-2) [l^(2k)(1) - l^(2k)(0) c - l^(2k+1)(0) s / lam]
-  p-kind:  sum_k (-1)^k lam^(-2k-1) [l^(2k)(0) s + (l^(2k+1)(1) - l^(2k+1)(0) c) / lam]
+  q, stage:  sum_k (-1)^k (c^2 lam^(2k+2))^(-1)
+                 [l^(2k)(c) - l^(2k)(0) C - l^(2k+1)(0) S / lam]
+  p:         sum_k (-1)^k lam^(-2k-1) [l^(2k)(0) S + (l^(2k+1)(1) - l^(2k+1)(0) C) / lam]
 
-and the stage kind is the q-kind applied to z -> l(c_i z) at frequency
-c_i * lam, whose chain-rule factors c_i^(2k) cancel part of the prefactor:
-
-  stage:   sum_k (-1)^k (c_i^2 lam^(2k+2))^(-1)
-               [l^(2k)(c_i) - l^(2k)(0) cos(c_i lam) - l^(2k+1)(0) sin(c_i lam) / lam]
+The factor c^-2 is what is left of the prefactor once the chain-rule
+factors c^(2k) of z -> l(c z) cancel.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .matfun import (
 )
 
 # Switchover between the series branch (at or below) and the by-parts
-# branch (above), applied to the effective oscillation argument.
+# branch (above), applied to the effective oscillation argument c * lam.
 LAMBDA_SWITCH = 0.5
 
 SERIES_REL_TOL = 1e-16
@@ -64,46 +66,35 @@ class WeightKind(enum.Enum):
     STAGE = "stage"
 
 
-def _effective_argument(ns: lg.NodeSet, kind: WeightKind, lam: float, i) -> float:
-    if kind is WeightKind.STAGE:
-        if i is None:
-            raise ValueError("stage kind requires the stage index i")
-        return lam * ns.nodes[i]
-    return lam
-
-
-def zero_freq_weight(ns: lg.NodeSet, kind: WeightKind, j: int, i=None) -> float:
-    """Exact polynomial limit of the weight integral at zero frequency."""
-    if kind is WeightKind.Q:
-        return lg.weighted_moment(ns, j, 1)
-    if kind is WeightKind.P:
-        return lg.weighted_moment(ns, j, 0)
+def _scale_and_row(ns: lg.NodeSet, kind: WeightKind, j: int, i) -> tuple[float, int]:
+    """The kind's scale c and the row of the point z = c in ns.derivative_values:
+    (1.0, 1) for q and p, (c_i, 2 + i) for stage i.  Raises IndexError unless
+    0 <= j, i < s, and ValueError for a stage kind without i."""
+    if not 0 <= j < ns.s:
+        raise IndexError(f"basis index {j} out of range for s={ns.s}")
+    if kind is not WeightKind.STAGE:
+        return 1.0, 1
     if i is None:
         raise ValueError("stage kind requires the stage index i")
-    return lg.weighted_moment(ns, j, 1, scale=ns.nodes[i])
+    if not 0 <= i < ns.s:
+        raise IndexError(f"stage index {i} out of range for s={ns.s}")
+    return ns.nodes[i], 2 + i
 
 
 def series_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam_sq: float, i=None) -> float:
     """Power series in the squared frequency, from exact basis moments.
 
-    q-kind:     sum_l (-lam^2)^l m(j, 2l+1) / (2l+1)!
-    p-kind:     sum_l (-lam^2)^l m(j, 2l)   / (2l)!
-    stage-kind: sum_l (-c_i^2 lam^2)^l mt(i, j, 2l+1) / (2l+1)!
+    q and stage kinds, at scale c: sum_l (-c^2 lam^2)^l m(j, 2l+1; c) / (2l+1)!
+    p-kind:                        sum_l (-lam^2)^l m(j, 2l; 1) / (2l)!
 
-    where m(j, k) = int l_j(z) (1-z)^k dz and mt uses l_j(c_i z).
+    where m(j, k; c) = int l_j(c z) (1-z)^k dz.  At lam = 0 every term
+    after the first is a signed zero, so the first term is the exact limit.
     """
     if lam_sq < 0.0:
         raise ValueError(f"squared frequency must be >= 0, got {lam_sq}")
-    if kind is WeightKind.STAGE:
-        if i is None:
-            raise ValueError("stage kind requires the stage index i")
-        scale = ns.nodes[i]
-        x = scale * scale * lam_sq
-        parity = 1
-    else:
-        scale = 1.0
-        x = lam_sq
-        parity = 1 if kind is WeightKind.Q else 0
+    scale, _ = _scale_and_row(ns, kind, j, i)
+    x = scale * scale * lam_sq
+    parity = 0 if kind is WeightKind.P else 1
     if x > SERIES_NORM_GUARD:
         raise SeriesConvergenceError(
             f"squared argument {x:.3g} exceeds the series guard {SERIES_NORM_GUARD}"
@@ -122,6 +113,8 @@ def series_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam_sq: float, i=Non
         else:
             below = 0
         power *= -x
+        if not power:  # every later term is a signed zero: the sum is final
+            return total
     raise SeriesConvergenceError(
         f"weight series did not converge within {SERIES_MAX_TERMS} terms"
     )
@@ -129,59 +122,44 @@ def series_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam_sq: float, i=Non
 
 def recursion_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=None) -> float:
     """Integration-by-parts closed form; valid above LAMBDA_SWITCH only."""
-    eff = _effective_argument(ns, kind, lam, i)
+    scale, row = _scale_and_row(ns, kind, j, i)
+    eff = scale * lam
     if eff <= LAMBDA_SWITCH:
         raise KernelBranchError(
             f"effective argument {eff:.3g} is at or below the switch "
             f"{LAMBDA_SWITCH}; use the series branch"
         )
-    # derivative values at 0, 1 and c_i from the node set's cached table;
-    # the (2k+1)-th derivative vanishes once 2k+1 reaches s
+    # derivative values at 0 and at the kind's point c from the node set's
+    # cached table; the (2k+1)-th derivative vanishes once 2k+1 reaches s
     s_count = ns.s
-    if not 0 <= j < s_count or (i is not None and not 0 <= i < s_count):
-        raise IndexError(f"basis index {j} or stage index {i} out of range for s={s_count}")
     values = ns.derivative_values
-    at_0 = values[0, j]
+    at_0, at_c = values[0, j], values[row, j]
+    c, s = math.cos(eff), math.sin(eff)
     total, sign = 0.0, 1.0
-    if kind is WeightKind.Q:
-        at_1 = values[1, j]
-        c, s = math.cos(lam), math.sin(lam)
-        for k in range(0, s_count, 2):
-            d_odd_0 = at_0[k + 1] if k + 1 < s_count else 0.0
-            total += sign * (at_1[k] - at_0[k] * c - d_odd_0 * s / lam) / lam ** (k + 2)
-            sign = -sign
-        return total
     if kind is WeightKind.P:
-        at_1 = values[1, j]
-        c, s = math.cos(lam), math.sin(lam)
         for k in range(0, s_count, 2):
             if k + 1 < s_count:
-                d_odd_1, d_odd_0 = at_1[k + 1], at_0[k + 1]
+                d_odd_1, d_odd_0 = at_c[k + 1], at_0[k + 1]
             else:
                 d_odd_1 = d_odd_0 = 0.0
             total += sign * (at_0[k] * s + (d_odd_1 - d_odd_0 * c) / lam) / lam ** (k + 1)
             sign = -sign
         return total
-    at_c = values[2 + i, j]
-    ci = ns.nodes[i]
-    c, s = math.cos(ci * lam), math.sin(ci * lam)
     for k in range(0, s_count, 2):
         d_odd_0 = at_0[k + 1] if k + 1 < s_count else 0.0
         total += sign * (at_c[k] - at_0[k] * c - d_odd_0 * s / lam) / (
-            ci * ci * lam ** (k + 2)
+            scale * scale * lam ** (k + 2)
         )
         sign = -sign
     return total
 
 
 def scalar_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=None) -> float:
-    """Branch dispatcher on the effective oscillation argument."""
+    """Branch dispatcher on the effective oscillation argument c * lam."""
     if lam < 0.0:
         raise ValueError(f"frequency must be >= 0, got {lam}")
-    eff = _effective_argument(ns, kind, lam, i)
-    if eff == 0.0:
-        return zero_freq_weight(ns, kind, j, i)
-    if eff <= LAMBDA_SWITCH:
+    scale, _ = _scale_and_row(ns, kind, j, i)
+    if scale * lam <= LAMBDA_SWITCH:
         return series_weight(ns, kind, j, lam * lam, i)
     return recursion_weight(ns, kind, j, lam, i)
 
@@ -192,16 +170,12 @@ def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None
 
     if v < 0.0:
         raise ValueError(f"squared frequency must be >= 0, got {v}")
+    scale, _ = _scale_and_row(ns, kind, j, i)
     lam = math.sqrt(v)
-    if kind is WeightKind.Q:
-        f = lambda z: lg.eval_basis(ns, j, z) * (1.0 - z) * sinc((1.0 - z) * lam)
-    elif kind is WeightKind.P:
+    if kind is WeightKind.P:
         f = lambda z: lg.eval_basis(ns, j, z) * math.cos((1.0 - z) * lam)
     else:
-        if i is None:
-            raise ValueError("stage kind requires the stage index i")
-        ci = ns.nodes[i]
-        f = lambda z: lg.eval_basis(ns, j, ci * z) * (1.0 - z) * sinc((1.0 - z) * ci * lam)
+        f = lambda z: lg.eval_basis(ns, j, scale * z) * (1.0 - z) * sinc((1.0 - z) * scale * lam)
     value, _ = quad(f, 0.0, 1.0, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     return value
 
@@ -328,10 +302,11 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
             f"{SERIES_NORM_GUARD}; reduce h"
         )
     s, d = ns.s, M.shape[0]
-    c = ns.nodes
     weights_q = np.zeros((s, d, d))
     weights_p = np.zeros((s, d, d))
     stage = np.zeros((s, s, d, d))
+    # the q row is one more pass of the stage loop, at scale c = 1
+    q_and_stage = [(1.0, weights_q)] + list(zip(ns.nodes, stage))
     term = np.eye(d)
     below = 0
     for l in range(SERIES_MAX_TERMS):
@@ -339,18 +314,14 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
         f_even = float(math.factorial(2 * l))
         added = 0.0
         for j in range(s):
-            tq = (lg.weighted_moment(ns, j, 2 * l + 1) / f_odd) * term
             tp = (lg.weighted_moment(ns, j, 2 * l) / f_even) * term
-            weights_q[j] += tq
             weights_p[j] += tp
-            added = max(added, np.abs(tq).max(), np.abs(tp).max())
-            for i in range(s):
+            added = max(added, np.abs(tp).max())
+            for c, out in q_and_stage:
                 ts = (
-                    c[i] ** (2 * l)
-                    * lg.weighted_moment(ns, j, 2 * l + 1, scale=c[i])
-                    / f_odd
+                    c ** (2 * l) * lg.weighted_moment(ns, j, 2 * l + 1, scale=c) / f_odd
                 ) * term
-                stage[i, j] += ts
+                out[j] += ts
                 added = max(added, np.abs(ts).max())
         scale = 1.0 + max(np.abs(weights_q).max(), np.abs(weights_p).max())
         if added < SERIES_REL_TOL * scale:
@@ -364,10 +335,8 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
         raise SeriesConvergenceError(
             f"coefficient series did not converge within {SERIES_MAX_TERMS} terms"
         )
-    phi_main = phi_pair_series(V, scale=h)
-    phi_stage = tuple(
-        phi_pair_series((ci * ci) * V, scale=ci * h) for ci in ns.nodes
-    )
+    phi_main = phi_pair_series(V)
+    phi_stage = tuple(phi_pair_series((ci * ci) * V) for ci in ns.nodes)
     return CoefficientTable(
         node_set=ns, M=M, h=h, path="series",
         weights_q=weights_q, weights_p=weights_p, stage_weights=stage,

@@ -69,7 +69,6 @@ from .errors import (
     OracleUnreliableError,
     StageIterationError,
 )
-from .matfun import is_symmetric
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITER = 50
@@ -92,7 +91,6 @@ ERROR_FLOOR = 1e-12
 class OscillatoryIVP:
     """Second-order IVP q'' + M q = f(t, q) with optional diagnostics.
 
-    ``symmetric`` controls the coefficient path ("auto" detects it);
     ``lipschitz`` is a bound on the force Jacobian used by the contraction
     guard; ``hamiltonian`` (q, p) -> float and the skew ``invariant``
     matrix D (tracking q^T D p) enable the trajectory diagnostics.
@@ -111,7 +109,6 @@ class OscillatoryIVP:
     q0: np.ndarray
     p0: np.ndarray
     t_end: float
-    symmetric: bool | None = None
     lipschitz: float | None = None
     hamiltonian: Callable[[np.ndarray, np.ndarray], float] | None = None
     invariant: np.ndarray | None = None
@@ -139,10 +136,6 @@ class OscillatoryIVP:
     @property
     def dim(self) -> int:
         return self.q0.size
-
-    def coefficient_path(self) -> str:
-        sym = is_symmetric(self.M) if self.symmetric is None else self.symmetric
-        return "spectral" if sym else "series"
 
 
 @dataclass
@@ -489,7 +482,6 @@ def solve(
     partial step and fixed mode start from the predictor.
     """
     ns = node_set if node_set is not None else lg.gauss2()
-    path = ivp.coefficient_path()
     n_full, h_last = _grid(ivp.t_end, cfg.h)
     n_steps = n_full + (1 if h_last else 0)
     if n_steps == 0:
@@ -510,7 +502,7 @@ def solve(
     k = 0
     try:
         if n_full:
-            stepper = _Stepper(build_table(ns, ivp.M, h, path=path), ivp, cfg)
+            stepper = _Stepper(build_table(ns, ivp.M, h), ivp, cfg)
             stepper.load(q, p)
             advance = stepper.advance
             forces = stepper.forces
@@ -526,7 +518,7 @@ def solve(
             q, p = stepper.q, stepper.p
         if h_last:
             cfg_last = replace(cfg, h=h_last)
-            stepper = _Stepper(build_table(ns, ivp.M, h_last, path=path), ivp, cfg_last)
+            stepper = _Stepper(build_table(ns, ivp.M, h_last), ivp, cfg_last)
             stepper.load(q, p)
             _, n_sweeps, history = stepper.advance(t)
             k += 1

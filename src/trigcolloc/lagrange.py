@@ -147,9 +147,11 @@ def weighted_moment(ns: NodeSet, j: int, m: int, scale: float = 1.0) -> float:
     _check_index(ns, j)
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
+    # Python floats: the same IEEE operations as on numpy scalars, faster
     total = 0.0
     fac = 1.0
-    for n, a in enumerate(ns.basis_coeffs[j]):
+    scale = float(scale)
+    for n, a in enumerate(ns.basis_coeffs[j].tolist()):
         if a != 0.0:
             total += a * fac / ((n + m + 1) * math.comb(n + m, n))
         fac *= scale

@@ -22,6 +22,9 @@ SERIES_NORM_GUARD = 30.0
 
 SERIES_MAX_TERMS = 200
 
+# A phi series stops once its newest term is below this, relative to the sum.
+SERIES_TOL = 1e-14
+
 # Relative tolerance of the one symmetry test that picks the coefficient path.
 SYMMETRY_TOL = 1e-12
 
@@ -31,15 +34,10 @@ _SINC_SWITCH = 1e-4
 
 @dataclass(frozen=True, eq=False)
 class PhiPair:
-    """phi0 and phi1 evaluated at the same matrix argument.
-
-    ``scale`` records the scalar a such that the argument was a**2 * M for
-    the originating matrix M (h, or c_i * h for stage arguments).
-    """
+    """phi0 and phi1 evaluated at the same matrix argument."""
 
     phi0: np.ndarray
     phi1: np.ndarray
-    scale: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +67,11 @@ def sinc(x):
     return out[()] if out.ndim == 0 else out
 
 
-def phi_pair_series(A: np.ndarray, tol: float = 1e-14, scale: float = 1.0) -> PhiPair:
+def phi_pair_series(A: np.ndarray) -> PhiPair:
     """Evaluate (phi0(A), phi1(A)) by the shared alternating power ladder.
 
     Terms are added until the newest term's max-norm drops below
-    tol * (1 + running-sum norm) for both series.  Raises
+    SERIES_TOL * (1 + running-sum norm) for both series.  Raises
     SeriesConvergenceError if ||A||_inf exceeds SERIES_NORM_GUARD or the
     term budget runs out.
     """
@@ -96,10 +94,9 @@ def phi_pair_series(A: np.ndarray, tol: float = 1e-14, scale: float = 1.0) -> Ph
         t1 = term / math.factorial(2 * l + 1)
         phi0 = phi0 + t0
         phi1 = phi1 + t1
-        n0 = np.abs(t0).max()
-        n1 = np.abs(t1).max()
-        if n0 < tol * (1.0 + np.abs(phi0).max()) and n1 < tol * (1.0 + np.abs(phi1).max()):
-            return PhiPair(phi0=phi0, phi1=phi1, scale=scale)
+        done0 = np.abs(t0).max() < SERIES_TOL * (1.0 + np.abs(phi0).max())
+        if done0 and np.abs(t1).max() < SERIES_TOL * (1.0 + np.abs(phi1).max()):
+            return PhiPair(phi0=phi0, phi1=phi1)
     raise SeriesConvergenceError(
         f"phi series did not converge within {SERIES_MAX_TERMS} terms"
     )
@@ -144,4 +141,4 @@ def phi_pair_spectral(sd: SpectralDecomposition, scale: float) -> PhiPair:
     x = scale * sd.freqs
     phi0 = (Q * np.cos(x)) @ sd.transform
     phi1 = (Q * sinc(x)) @ sd.transform
-    return PhiPair(phi0=phi0, phi1=phi1, scale=scale)
+    return PhiPair(phi0=phi0, phi1=phi1)

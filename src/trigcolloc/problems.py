@@ -82,8 +82,8 @@ def satellite_problem(t_end: float = 100.0) -> ProblemSpec:
         return 0.5 * np.vecdot(p, p) + 0.5 * (kappa / 2.0) * np.vecdot(q, q) + potential(q)
 
     ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
+        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
+        vectorized=True,
     )
     return ProblemSpec(
         name="satellite",
@@ -139,8 +139,8 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     q0[m] = 1.0 / omega
     p0[m] = 1.0
     ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
+        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
+        vectorized=True,
     )
     return ProblemSpec(
         name="fpu",
@@ -183,8 +183,8 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
     q0 = amp * (1.0 + np.cos(2.0 * math.pi * x / length))
     p0 = np.zeros(n)
     ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end,
-        symmetric=True, hamiltonian=hamiltonian, vectorized=True,
+        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
+        vectorized=True,
     )
     return ProblemSpec(
         name="klein-gordon",
@@ -226,8 +226,7 @@ def wave_problem(n: int = 40, t_end: float = 10.0) -> ProblemSpec:
         return a * math.cos(10.0 * t), -10.0 * a * math.sin(10.0 * t)
 
     ivp = OscillatoryIVP(
-        M=M, force=force, q0=a.copy(), p0=np.zeros(d), t_end=t_end,
-        symmetric=False, vectorized=True,
+        M=M, force=force, q0=a.copy(), p0=np.zeros(d), t_end=t_end, vectorized=True,
     )
     return ProblemSpec(
         name="wave",

@@ -102,7 +102,6 @@ def test_acceptance_2_linear_exactness(capsys):
         q0=base.ivp.q0,
         p0=base.ivp.p0,
         t_end=10.0,
-        symmetric=True,
         hamiltonian=lambda q, p: 0.5 * float(p @ p) + 0.5 * float(q @ (M @ q)),
     )
     traj = solve(linear, SolverConfig(h=0.01), node_set=G2)

@@ -205,6 +205,18 @@ def test_stability_rejects_bad_windows_with_usage_code(flag, capsys):
     assert "error:" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["stability", "--tol", "1e-3"],
+    ["stability", "--max-iter", "5"],
+    ["coeffs", "--m-scalar", "1.0", "--h", "0.1", "--iteration-mode", "fixed"],
+])
+def test_commands_that_do_not_iterate_refuse_iteration_flags(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["3x", "x3", "axb", "3", "3x4x5"])
 def test_stability_rejects_malformed_grid_by_name(grid, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -305,10 +317,9 @@ def test_manifest_round_trip():
         "--h-list", "0.1,0.05,0.025", "--t-end", "2.0",
     ])
     manifest = cli.manifest_from_args(args)
-    d = manifest.as_dict()
-    assert d["command"] == "convergence"
-    assert d["problem"] == "fpu"
-    assert d["overrides"] == {"omega": 50.0}
-    assert d["h_list"] == [0.1, 0.05, 0.025]
-    assert d["t_end"] == 2.0
-    assert d["iteration_mode"] == "tolerance"
+    assert manifest.command == "convergence"
+    assert manifest.problem == "fpu"
+    assert manifest.overrides == {"omega": 50.0}
+    assert manifest.h_list == (0.1, 0.05, 0.025)
+    assert manifest.t_end == 2.0
+    assert manifest.iteration_mode == "tolerance"

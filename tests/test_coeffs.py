@@ -99,6 +99,34 @@ def test_recursion_weight_rejects_out_of_range_indices():
             cf.recursion_weight(ns, kind, j, 10.0, i)
 
 
+def test_every_branch_rejects_an_out_of_range_stage_index():
+    # i = -1 once picked the last node silently on every branch but by-parts
+    ns = lg.gauss2()
+    for i in (-1, 2):
+        for lam in (0.0, 0.1, 10.0):
+            with pytest.raises(IndexError):
+                cf.scalar_weight(ns, WeightKind.STAGE, 0, lam, i)
+            with pytest.raises(IndexError):
+                cf.quadrature_weight(ns, WeightKind.STAGE, 0, lam * lam, i)
+        with pytest.raises(IndexError):
+            cf.series_weight(ns, WeightKind.STAGE, 0, 0.01, i)
+
+
+@pytest.mark.parametrize("nodes", [(1.0 / 3.0, 1.0), (0.2, 0.5, 1.0)])
+def test_stage_weight_at_node_one_is_the_q_weight_exactly(nodes):
+    # the q weight is the stage weight at scale c = 1, on every path
+    ns = lg.build_node_set(nodes)
+    last = ns.s - 1
+    for lam in (0.0, 1e-3, 0.5, 0.7, 10.0, 100.0):
+        for j in range(ns.s):
+            stage = cf.scalar_weight(ns, WeightKind.STAGE, j, lam, last)
+            assert stage == cf.scalar_weight(ns, WeightKind.Q, j, lam)
+    M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+    for path in ("spectral", "series"):
+        table = cf.build_table(ns, M, 0.7, path=path)
+        assert np.array_equal(table.stage_weights[last], table.weights_q)
+
+
 def test_series_guard_rejects_large_argument():
     ns = lg.gauss2()
     with pytest.raises(SeriesConvergenceError):
@@ -108,12 +136,12 @@ def test_series_guard_rejects_large_argument():
 def test_zero_frequency_equals_gauss2_point_shorthand():
     ns = lg.gauss2()
     for j in range(2):
-        q = cf.zero_freq_weight(ns, WeightKind.Q, j)
-        p = cf.zero_freq_weight(ns, WeightKind.P, j)
+        q = cf.scalar_weight(ns, WeightKind.Q, j, 0.0)
+        p = cf.scalar_weight(ns, WeightKind.P, j, 0.0)
         assert abs(q - lg.eval_basis(ns, j, 1.0 / 3.0) / 2.0) < TABLEAU_TOL
         assert abs(p - lg.eval_basis(ns, j, 0.5)) < TABLEAU_TOL
         for i in range(2):
-            st = cf.zero_freq_weight(ns, WeightKind.STAGE, j, i)
+            st = cf.scalar_weight(ns, WeightKind.STAGE, j, 0.0, i)
             short = lg.eval_basis(ns, j, ns.nodes[i] / 3.0) / 2.0
             assert abs(st - short) < TABLEAU_TOL
 
@@ -223,11 +251,11 @@ def test_zero_matrix_table_is_classical_tableau():
     table = cf.build_table(ns, np.zeros((1, 1)), h)
     for j in range(2):
         assert (
-            abs(table.weights_q[j, 0, 0] - cf.zero_freq_weight(ns, WeightKind.Q, j))
+            abs(table.weights_q[j, 0, 0] - cf.scalar_weight(ns, WeightKind.Q, j, 0.0))
             < TABLEAU_TOL
         )
         assert (
-            abs(table.weights_p[j, 0, 0] - cf.zero_freq_weight(ns, WeightKind.P, j))
+            abs(table.weights_p[j, 0, 0] - cf.scalar_weight(ns, WeightKind.P, j, 0.0))
             < TABLEAU_TOL
         )
     # propagator [[phi0, h phi1], [-h M phi1, phi0]] with unit phi factors

@@ -66,10 +66,10 @@ def test_zero_matrix_step_equals_classical_tableau_map():
     traj = it.solve(ivp, SolverConfig(h=h, tol=1e-15))
 
     c = ns.nodes
-    b_q = [cf.zero_freq_weight(ns, cf.WeightKind.Q, j) for j in range(2)]
-    b_p = [cf.zero_freq_weight(ns, cf.WeightKind.P, j) for j in range(2)]
+    b_q = [cf.scalar_weight(ns, cf.WeightKind.Q, j, 0.0) for j in range(2)]
+    b_p = [cf.scalar_weight(ns, cf.WeightKind.P, j, 0.0) for j in range(2)]
     a_st = [
-        [cf.zero_freq_weight(ns, cf.WeightKind.STAGE, j, i) for j in range(2)]
+        [cf.scalar_weight(ns, cf.WeightKind.STAGE, j, 0.0, i) for j in range(2)]
         for i in range(2)
     ]
     stages = [q0 + c[i] * h * p0 for i in range(2)]
@@ -214,8 +214,8 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
         pairs = [mf.phi_pair_spectral(sd, ci * h) for ci in c]
         main = mf.phi_pair_spectral(sd, h)
     else:
-        pairs = [mf.phi_pair_series(ci * ci * h * h * M, scale=ci * h) for ci in c]
-        main = mf.phi_pair_series(h * h * M, scale=h)
+        pairs = [mf.phi_pair_series(ci * ci * h * h * M) for ci in c]
+        main = mf.phi_pair_series(h * h * M)
     pred = np.stack(
         [pairs[i].phi0 @ q + (c[i] * h) * (pairs[i].phi1 @ p) for i in range(s)]
     )
@@ -466,16 +466,15 @@ def cold_step_loop(ivp, cfg, ns):
     """solve written as a loop of step calls started from the predictor;
     returns (q, p, iterations) per grid point."""
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
-    path = ivp.coefficient_path()
-    table = cf.build_table(ns, ivp.M, cfg.h, path=path)
+    table = cf.build_table(ns, ivp.M, cfg.h)
     t, q, p = 0.0, ivp.q0.copy(), ivp.p0.copy()
     qs, ps, iters = [q], [p], []
     for k in range(n_full):
         r = it.step(table, ivp, t, q, p, cfg)
-        t, q, p = (k + 1) * cfg.h, r.q, r.p
+        t, q, p = k * cfg.h + cfg.h, r.q, r.p
         qs.append(q), ps.append(p), iters.append(r.iterations)
     if h_last:
-        table = cf.build_table(ns, ivp.M, h_last, path=path)
+        table = cf.build_table(ns, ivp.M, h_last)
         r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last))
         qs.append(r.q), ps.append(r.p), iters.append(r.iterations)
     return np.array(qs), np.array(ps), np.array(iters)
@@ -534,18 +533,17 @@ def warm_step_loop(ivp, cfg, ns):
     trailing partial step from the predictor; returns (q, p, iterations,
     residuals) per grid point."""
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
-    path = ivp.coefficient_path()
-    table = cf.build_table(ns, ivp.M, cfg.h, path=path)
+    table = cf.build_table(ns, ivp.M, cfg.h)
     forces = np.empty((ns.s, ivp.dim))
     t, q, p, start = 0.0, ivp.q0.copy(), ivp.p0.copy(), None
     qs, ps, iters, resid = [q], [p], [], []
     for k in range(n_full):
         r = it.step(table, ivp, t, q, p, cfg, forces=forces, start=start)
         start = ns.extrapolation @ forces
-        t, q, p = (k + 1) * cfg.h, r.q, r.p
+        t, q, p = k * cfg.h + cfg.h, r.q, r.p
         qs.append(q), ps.append(p), iters.append(r.iterations), resid.append(r.residual)
     if h_last:
-        table = cf.build_table(ns, ivp.M, h_last, path=path)
+        table = cf.build_table(ns, ivp.M, h_last)
         r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last), forces=forces)
         qs.append(r.q), ps.append(r.p), iters.append(r.iterations), resid.append(r.residual)
     return np.array(qs), np.array(ps), np.array(iters), np.array(resid)
@@ -571,12 +569,11 @@ def step_loop(ivp, cfg, ns):
     of the step before; the times are solve's, t = k h + h after step k.
     Returns (q, p, iterations, residuals) per grid point."""
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
-    path = ivp.coefficient_path()
     forces = np.empty((ns.s, ivp.dim))
     t, q, p, start = 0.0, ivp.q0, ivp.p0, None
     qs, ps, iters, resid = [q], [p], [], []
     if n_full:
-        table = cf.build_table(ns, ivp.M, cfg.h, path=path)
+        table = cf.build_table(ns, ivp.M, cfg.h)
     for k in range(n_full):
         r = it.step(table, ivp, t, q, p, cfg, forces=forces, start=start)
         if cfg.iteration_mode == "tolerance":
@@ -584,7 +581,7 @@ def step_loop(ivp, cfg, ns):
         t, q, p = k * cfg.h + cfg.h, r.q, r.p
         qs.append(q), ps.append(p), iters.append(r.iterations), resid.append(r.residual)
     if h_last:
-        table = cf.build_table(ns, ivp.M, h_last, path=path)
+        table = cf.build_table(ns, ivp.M, h_last)
         r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last), forces=forces)
         qs.append(r.q), ps.append(r.p), iters.append(r.iterations), resid.append(r.residual)
     return np.array(qs), np.array(ps), np.array(iters), np.array(resid)
@@ -748,7 +745,7 @@ def residual_rule_solve(ivp, cfg, ns):
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
     assert not h_last
     d = ivp.dim
-    table = cf.build_table(ns, ivp.M, cfg.h, path=ivp.coefficient_path())
+    table = cf.build_table(ns, ivp.M, cfg.h)
     t, q, p, start = 0.0, ivp.q0, ivp.p0, None
     for k in range(n_full):
         forces = per_sweep_stages(
@@ -993,17 +990,9 @@ def test_ivp_validation():
 
 
 def test_coefficient_path_detection():
-    sym = linear_ivp(np.diag([1.0, 2.0]), [1.0, 1.0], [0.0, 0.0], 1.0)
-    assert sym.coefficient_path() == "spectral"
-    asym = OscillatoryIVP(
-        M=np.array([[2.0, 1.0], [0.0, 2.0]]),
-        force=lambda t, q: np.zeros(2),
-        q0=np.ones(2),
-        p0=np.zeros(2),
-        t_end=1.0,
-        symmetric=False,
-    )
-    assert asym.coefficient_path() == "series"
+    ns = lg.gauss2()
+    assert cf.build_table(ns, np.diag([1.0, 2.0]), 1.0).path == "spectral"
+    assert cf.build_table(ns, np.array([[2.0, 1.0], [0.0, 2.0]]), 1.0).path == "series"
 
 
 def test_one_symmetry_test_for_every_path_choice():
@@ -1014,8 +1003,6 @@ def test_one_symmetry_test_for_every_path_choice():
         M = base.copy()
         M[0, 1] += gap * 2.0
         assert mf.is_symmetric(M) is sym
-        ivp = linear_ivp(M, [1.0, 0.0], [0.0, 0.0], 1.0)
-        assert ivp.coefficient_path() == ("spectral" if sym else "series")
         assert cf.build_table(ns, M, 0.1).path == ("spectral" if sym else "series")
         if sym:
             mf.decompose_symmetric(M)

@@ -47,16 +47,6 @@ def test_series_matches_cosine_on_scalar():
         assert abs(pair.phi1[0, 0] - mf.sinc(lam)) < AGREE_TOL
 
 
-def test_series_scale_argument_is_metadata():
-    # the matrix argument is passed pre-scaled; ``scale`` only records
-    # the scalar a with argument = a^2 M
-    v, c = 7.3, 0.21
-    pair = mf.phi_pair_series(np.array([[c * c * v]]), scale=c)
-    assert pair.scale == c
-    assert abs(pair.phi0[0, 0] - math.cos(c * math.sqrt(v))) < AGREE_TOL
-    assert abs(pair.phi1[0, 0] - mf.sinc(c * math.sqrt(v))) < AGREE_TOL
-
-
 def test_series_vs_spectral_on_random_spd():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(6):
@@ -64,7 +54,7 @@ def test_series_vs_spectral_on_random_spd():
         M = random_spd(rng, d, scale=float(rng.uniform(0.5, 8.0)))
         sd = mf.decompose_symmetric(M)
         for scale in (1.0, 0.5):
-            a = mf.phi_pair_series(scale * scale * M, scale=scale)
+            a = mf.phi_pair_series(scale * scale * M)
             b = mf.phi_pair_spectral(sd, scale)
             assert np.abs(a.phi0 - b.phi0).max() < AGREE_TOL
             assert np.abs(a.phi1 - b.phi1).max() < AGREE_TOL
