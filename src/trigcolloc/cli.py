@@ -9,6 +9,7 @@ converge).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -353,6 +354,10 @@ def manifest_from_args(args) -> RunManifest:
         if len(h_list) < 3:
             raise ValueError(f"need at least 3 step sizes, got {len(h_list)}")
         manifest.h_list = h_list
+    for flag, values in (("--h", [manifest.h]), ("--m-scalar", [manifest.m_scalar]),
+                         ("--h-list", manifest.h_list)):
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError(f"{flag} must be finite, got {values}")
     if args.command == "stability":
         manifest.v_range, manifest.z_range, manifest.grid = check_scan_window(
             _parse_pair(args.v_range, "--v-range"),

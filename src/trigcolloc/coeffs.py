@@ -6,16 +6,21 @@ The one-step map needs two families of integrals over [0, 1], with V = h^2 M:
   p (momentum update):   int l_j(z) phi0((1-z)^2 V) dz
 
 The stage coupling takes c = c_i, and the position (q) update is the same
-integral at c = 1.  Each evaluator codes it once, at the kind's scale: with
+integral at c = 1.  Each branch codes it once, at the row's scale: with
 c = 1.0 every product and cosine rounds as a q-only formula would, so a
 stage weight at a node c_i = 1 equals the q weight bit for bit.
 
-For symmetric PSD M each integral diagonalizes into scalar kernels per
-frequency, with two branches on the effective argument c * lam: an
-integration-by-parts closed form (large argument) and a power series in the
-squared frequency from exact basis moments (small argument; at lam = 0 it
-is the exact polynomial limit).  Adaptive quadrature of the defining
-integral is the cross-check oracle.
+For symmetric PSD M each integral diagonalizes into scalar weights, one per
+frequency lam.  ``weights`` evaluates every weight of a node set at an array
+of frequencies (``scalar_weight`` is its one-frequency view, and adaptive
+quadrature, ``quadrature_weight``, the oracle).  An entry takes one of two
+branches on c * lam: a closed form by parts (large argument) or a power
+series in lam^2 over the basis moments of NodeSet.moment_table (small
+argument; exact at lam = 0), a table built once per node set when a series
+entry first occurs.  Each entry rounds as its term-by-term scalar evaluation
+would, so batching never changes a bit: sums and products run in sequence, a
+series term is (power * moment) / k!, and lam^m is the scalar pow of each
+element, as numpy's array power rounds differently in about 1 in 20 inputs.
 
 The closed forms follow from repeated integration by parts.  For a basis
 polynomial l of degree <= s-1 and lam > 0, writing C = cos(c lam) and
@@ -38,7 +43,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import lagrange as lg
-from .errors import KernelBranchError, SeriesConvergenceError
+from .errors import SeriesConvergenceError
 from .matfun import (
     PhiPair,
     SpectralDecomposition,
@@ -54,8 +59,13 @@ from .matfun import (
 # branch (above), applied to the effective oscillation argument c * lam.
 LAMBDA_SWITCH = 0.5
 
+# Largest frequency weights takes: lam^2 stays finite, so c^2 lam^2 is never 0 * inf.
+LAMBDA_MAX = 1e154
+
 SERIES_REL_TOL = 1e-16
-SERIES_MAX_TERMS = 200
+# Within the series guard (argument <= 30) every series stops by its 20th term.
+SERIES_MAX_TERMS = lg.MOMENT_ORDERS // 2
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(lg.MOMENT_ORDERS)])
 
 QUAD_TOL = 1e-13
 
@@ -66,102 +76,99 @@ class WeightKind(enum.Enum):
     STAGE = "stage"
 
 
-def _scale_and_row(ns: lg.NodeSet, kind: WeightKind, j: int, i) -> tuple[float, int]:
-    """The kind's scale c and the row of the point z = c in ns.derivative_values:
-    (1.0, 1) for q and p, (c_i, 2 + i) for stage i.  Raises IndexError unless
-    0 <= j, i < s, and ValueError for a stage kind without i."""
+def weights(ns: lg.NodeSet, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b_q (s, n), b_p (s, n) and A (s, s, n) at the n frequencies lam: views of
+    one stack with the rows q (0), stage i (1 + i) and p (s + 1).  Raises
+    ValueError unless lam is 1-D with entries in [0, LAMBDA_MAX]."""
+    lam = np.asarray(lam, dtype=float)
+    ok = (lam >= 0.0) & (lam <= LAMBDA_MAX)
+    if lam.ndim != 1 or np.count_nonzero(ok) < lam.size:
+        raise ValueError(f"frequencies must be 1-D in [0, {LAMBDA_MAX:g}], got {lam[~ok][:3]}")
+    out = _by_parts(ns, lam)
+    # series where c * lam <= LAMBDA_SWITCH, c from ns.scales; p goes with q
+    series = ns.scales[:, None] * lam <= LAMBDA_SWITCH
+    if np.count_nonzero(series):
+        rows, cols = np.nonzero(np.concatenate((series, series[:1])))
+        out[rows, :, cols] = _series(ns, rows, lam[cols])
+    return out[0], out[-1], out[1:-1]
+
+
+def _by_parts(ns: lg.NodeSet, lam: np.ndarray) -> np.ndarray:
+    """The by-parts closed form as a stack in the rows of weights, valid
+    where c * lam > LAMBDA_SWITCH; derivative values at 0 and at ns.scales."""
+    s = ns.s
+    at_0, at_c = ns.derivative_values[0, ..., None], ns.derivative_values[1:, ..., None]
+    scales = ns.scales[:, None, None]
+    eff = scales * lam
+    cos, sin = np.cos(eff), np.sin(eff)
+    out = np.zeros((s + 2, s, lam.size))
+    qs, p = out[:-1], out[-1]  # the q and stage rows, the p row
+    # entries left to the series divide by zero; lam^m may overflow to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(0, s, 2):
+            # the odd derivative of order s vanishes
+            odd_0, odd_1 = (at_0[:, k + 1], at_c[0, :, k + 1]) if k + 1 < s else (0.0, 0.0)
+            pow_odd, pow_even = np.array([(x ** (k + 1), x ** (k + 2)) for x in lam]).T
+            # the sign (-1)^(k/2) as add or subtract: (-t)/u is -(t/u) exactly
+            add = np.add if k % 4 == 0 else np.subtract
+            den = scales * scales * pow_even
+            add(qs, (at_c[:, :, k] - at_0[:, k] * cos - odd_0 * sin / lam) / den, out=qs)
+            add(p, (at_0[:, k] * sin[0] + (odd_1 - odd_0 * cos[0]) / lam) / pow_odd, out=p)
+    return out
+
+
+def _series(ns: lg.NodeSet, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The series at the entries (rows[e], lam[e]) of weights' stack, (E, s):
+
+    q and stage rows, at scale c: sum_l (-c^2 lam^2)^l m(j, 2l+1; c) / (2l+1)!
+    p row:                        sum_l (-lam^2)^l m(j, 2l; 1) / (2l)!
+
+    with m(j, k; c) = int l_j(c z) (1-z)^k dz.  A sum stops at the second of two
+    successive terms below SERIES_REL_TOL of it, or once the power reaches 0.
+    """
+    p_row = rows > ns.s
+    at = np.where(p_row, 0, rows)  # the p row has the scale and moments of q
+    c = ns.scales[at]
+    x = c * c * (lam * lam)
+    if (x > SERIES_NORM_GUARD).any():
+        raise SeriesConvergenceError(f"squared argument {x.max():.3g} exceeds {SERIES_NORM_GUARD}")
+    for count in (12, SERIES_MAX_TERMS):  # c * lam <= LAMBDA_SWITCH stops within 12
+        orders = 2 * np.arange(count) + (~p_row)[:, None]
+        steps = np.insert(np.full((rows.size, count), -x[:, None]), 0, 1.0, axis=1)
+        # in sequence, as a term-by-term loop: a term is (power * moment) / k!
+        power = np.cumprod(steps, axis=1)[:, :, None]
+        moments = ns.moment_table[at[:, None], :, orders]
+        terms = power[:, :-1] * moments / _FACTORIALS[orders][..., None]
+        totals = np.cumsum(terms, axis=1)
+        small = np.abs(terms) < SERIES_REL_TOL * (1.0 + np.abs(totals))
+        stop = small & np.roll(small, 1, axis=1)
+        stop[:, 0] = False
+        stop |= power[:, 1:] == 0.0
+        if stop.any(axis=1).all():
+            return np.take_along_axis(totals, stop.argmax(axis=1)[:, None], axis=1)[:, 0]
+    raise SeriesConvergenceError(f"weight series did not converge in {SERIES_MAX_TERMS} terms")
+
+
+def _scale(ns: lg.NodeSet, kind: WeightKind, j: int, i) -> float:
+    """The kind's scale (1 for q and p, c_i for stage i); IndexError unless 0 <= j, i < s."""
     if not 0 <= j < ns.s:
         raise IndexError(f"basis index {j} out of range for s={ns.s}")
     if kind is not WeightKind.STAGE:
-        return 1.0, 1
+        return 1.0
     if i is None:
         raise ValueError("stage kind requires the stage index i")
     if not 0 <= i < ns.s:
         raise IndexError(f"stage index {i} out of range for s={ns.s}")
-    return ns.nodes[i], 2 + i
-
-
-def series_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam_sq: float, i=None) -> float:
-    """Power series in the squared frequency, from exact basis moments.
-
-    q and stage kinds, at scale c: sum_l (-c^2 lam^2)^l m(j, 2l+1; c) / (2l+1)!
-    p-kind:                        sum_l (-lam^2)^l m(j, 2l; 1) / (2l)!
-
-    where m(j, k; c) = int l_j(c z) (1-z)^k dz.  At lam = 0 every term
-    after the first is a signed zero, so the first term is the exact limit.
-    """
-    if lam_sq < 0.0:
-        raise ValueError(f"squared frequency must be >= 0, got {lam_sq}")
-    scale, _ = _scale_and_row(ns, kind, j, i)
-    x = scale * scale * lam_sq
-    parity = 0 if kind is WeightKind.P else 1
-    if x > SERIES_NORM_GUARD:
-        raise SeriesConvergenceError(
-            f"squared argument {x:.3g} exceeds the series guard {SERIES_NORM_GUARD}"
-        )
-    total = 0.0
-    power = 1.0
-    below = 0
-    for l in range(SERIES_MAX_TERMS):
-        m = 2 * l + parity
-        term = power * lg.weighted_moment(ns, j, m, scale=scale) / math.factorial(m)
-        total += term
-        if abs(term) < SERIES_REL_TOL * (1.0 + abs(total)):
-            below += 1
-            if below >= 2:
-                return total
-        else:
-            below = 0
-        power *= -x
-        if not power:  # every later term is a signed zero: the sum is final
-            return total
-    raise SeriesConvergenceError(
-        f"weight series did not converge within {SERIES_MAX_TERMS} terms"
-    )
-
-
-def recursion_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=None) -> float:
-    """Integration-by-parts closed form; valid above LAMBDA_SWITCH only."""
-    scale, row = _scale_and_row(ns, kind, j, i)
-    eff = scale * lam
-    if eff <= LAMBDA_SWITCH:
-        raise KernelBranchError(
-            f"effective argument {eff:.3g} is at or below the switch "
-            f"{LAMBDA_SWITCH}; use the series branch"
-        )
-    # derivative values at 0 and at the kind's point c from the node set's
-    # cached table; the (2k+1)-th derivative vanishes once 2k+1 reaches s
-    s_count = ns.s
-    values = ns.derivative_values
-    at_0, at_c = values[0, j], values[row, j]
-    c, s = math.cos(eff), math.sin(eff)
-    total, sign = 0.0, 1.0
-    if kind is WeightKind.P:
-        for k in range(0, s_count, 2):
-            if k + 1 < s_count:
-                d_odd_1, d_odd_0 = at_c[k + 1], at_0[k + 1]
-            else:
-                d_odd_1 = d_odd_0 = 0.0
-            total += sign * (at_0[k] * s + (d_odd_1 - d_odd_0 * c) / lam) / lam ** (k + 1)
-            sign = -sign
-        return total
-    for k in range(0, s_count, 2):
-        d_odd_0 = at_0[k + 1] if k + 1 < s_count else 0.0
-        total += sign * (at_c[k] - at_0[k] * c - d_odd_0 * s / lam) / (
-            scale * scale * lam ** (k + 2)
-        )
-        sign = -sign
-    return total
+    return ns.nodes[i]
 
 
 def scalar_weight(ns: lg.NodeSet, kind: WeightKind, j: int, lam: float, i=None) -> float:
-    """Branch dispatcher on the effective oscillation argument c * lam."""
-    if lam < 0.0:
-        raise ValueError(f"frequency must be >= 0, got {lam}")
-    scale, _ = _scale_and_row(ns, kind, j, i)
-    if scale * lam <= LAMBDA_SWITCH:
-        return series_weight(ns, kind, j, lam * lam, i)
-    return recursion_weight(ns, kind, j, lam, i)
+    """One weight at one frequency: the (kind, j, i) entry of weights(ns, [lam])."""
+    _scale(ns, kind, j, i)
+    b_q, b_p, A = weights(ns, [lam])
+    if kind is WeightKind.STAGE:
+        return float(A[i, j, 0])
+    return float((b_q if kind is WeightKind.Q else b_p)[j, 0])
 
 
 def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None) -> float:
@@ -170,7 +177,7 @@ def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None
 
     if v < 0.0:
         raise ValueError(f"squared frequency must be >= 0, got {v}")
-    scale, _ = _scale_and_row(ns, kind, j, i)
+    scale = _scale(ns, kind, j, i)
     lam = math.sqrt(v)
     if kind is WeightKind.P:
         f = lambda z: lg.eval_basis(ns, j, z) * math.cos((1.0 - z) * lam)
@@ -253,24 +260,11 @@ class CoefficientTable:
 
 def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) -> CoefficientTable:
     """Assemble the table through the eigendecomposition of symmetric M."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be > 0, got {h}")
-    s, d = ns.s, sd.dim
     Q = sd.transform.T
     x = h * sd.freqs
-
-    def assemble(kind, j, i=None):
-        vals = np.array([scalar_weight(ns, kind, j, xk, i) for xk in x])
-        return (Q * vals) @ sd.transform
-
-    weights_q = np.stack([assemble(WeightKind.Q, j) for j in range(s)])
-    weights_p = np.stack([assemble(WeightKind.P, j) for j in range(s)])
-    stage = np.stack(
-        [
-            np.stack([assemble(WeightKind.STAGE, j, i) for j in range(s)])
-            for i in range(s)
-        ]
-    )
+    b_q, b_p, A = weights(ns, x)
+    # Q diag(w) Q^T for every weight row w, one stacked product per kind
+    weights_q, weights_p, stage = ((Q * w[..., None, :]) @ sd.transform for w in (b_q, b_p, A))
     M = (Q * sd.freqs**2) @ sd.transform
     phi_main = phi_pair_spectral(sd, h)
     phi_stage = tuple(phi_pair_spectral(sd, ci * h) for ci in ns.nodes)
@@ -289,8 +283,6 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
     Requires ||V||_inf within the series guard; works for any square M,
     symmetric or not.
     """
-    if h <= 0.0:
-        raise ValueError(f"step size must be > 0, got {h}")
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"square matrix required, got shape {M.shape}")
@@ -302,29 +294,20 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
             f"{SERIES_NORM_GUARD}; reduce h"
         )
     s, d = ns.s, M.shape[0]
-    weights_q = np.zeros((s, d, d))
-    weights_p = np.zeros((s, d, d))
-    stage = np.zeros((s, s, d, d))
-    # the q row is one more pass of the stage loop, at scale c = 1
-    q_and_stage = [(1.0, weights_q)] + list(zip(ns.nodes, stage))
+    # rows of weights' stack; term l adds _series' coefficients times (-V)^l
+    out = np.zeros((s + 2, s, d, d))
     term = np.eye(d)
     below = 0
     for l in range(SERIES_MAX_TERMS):
-        f_odd = float(math.factorial(2 * l + 1))
-        f_even = float(math.factorial(2 * l))
-        added = 0.0
-        for j in range(s):
-            tp = (lg.weighted_moment(ns, j, 2 * l) / f_even) * term
-            weights_p[j] += tp
-            added = max(added, np.abs(tp).max())
-            for c, out in q_and_stage:
-                ts = (
-                    c ** (2 * l) * lg.weighted_moment(ns, j, 2 * l + 1, scale=c) / f_odd
-                ) * term
-                out[j] += ts
-                added = max(added, np.abs(ts).max())
-        scale = 1.0 + max(np.abs(weights_q).max(), np.abs(weights_p).max())
-        if added < SERIES_REL_TOL * scale:
+        power = np.array([c ** (2 * l) for c in ns.scales])[:, None]
+        coef = np.concatenate((
+            power * ns.moment_table[:, :, 2 * l + 1] / _FACTORIALS[2 * l + 1],
+            ns.moment_table[:1, :, 2 * l] / _FACTORIALS[2 * l],
+        ))
+        added = coef[..., None, None] * term
+        out += added
+        scale = 1.0 + max(np.abs(out[0]).max(), np.abs(out[-1]).max())
+        if np.abs(added).max() < SERIES_REL_TOL * scale:
             below += 1
             if below >= 2:
                 break
@@ -339,7 +322,7 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
     phi_stage = tuple(phi_pair_series((ci * ci) * V) for ci in ns.nodes)
     return CoefficientTable(
         node_set=ns, M=M, h=h, path="series",
-        weights_q=weights_q, weights_p=weights_p, stage_weights=stage,
+        weights_q=out[0], weights_p=out[-1], stage_weights=out[1:-1],
         phi_main=phi_main, phi_stage=phi_stage, p_block=-h * (M @ phi_main.phi1),
     )
 
@@ -347,11 +330,16 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
 def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:
     """Build a table, picking the spectral path for symmetric PSD M.
 
-    path: "auto" | "spectral" | "series".
+    path: "auto" | "spectral" | "series".  Raises ValueError unless h is
+    finite and > 0 and every entry of M is finite.
     """
     M = np.asarray(M, dtype=float)
     if path not in ("auto", "spectral", "series"):
         raise ValueError(f"unknown path {path!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be finite and > 0, got {h}")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
     if path == "spectral" or (path == "auto" and is_symmetric(M)):
         return build_table_spectral(ns, decompose_symmetric(M), h)
     return build_table_series(ns, M, h)

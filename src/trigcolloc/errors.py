@@ -21,10 +21,6 @@ class SeriesConvergenceError(TrigCollocError, RuntimeError):
     """A power series failed its convergence guard or term budget."""
 
 
-class KernelBranchError(TrigCollocError, ValueError):
-    """A scalar weight kernel was asked to run outside its valid branch."""
-
-
 class ContractionGuardError(TrigCollocError, RuntimeError):
     """Step size violates the fixed-point contraction condition."""
 

@@ -156,7 +156,7 @@ class SolverConfig:
     enforce_contraction_guard: bool = False
 
     def __post_init__(self):
-        if self.h <= 0.0:
+        if not self.h > 0.0:
             raise ValueError(f"step size must be > 0, got {self.h}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")

@@ -23,6 +23,9 @@ MAX_NODES = 8
 # too ill-conditioned to trust.
 MIN_NODE_GAP = 1e-10
 
+# Orders 0 .. 63 of NodeSet.moment_table: two per term of a weight series.
+MOMENT_ORDERS = 64
+
 # Gauss-Legendre pair on [0, 1]: (3 - sqrt(3))/6 and (3 + sqrt(3))/6.
 GAUSS2_NODES = ((3.0 - math.sqrt(3.0)) / 6.0, (3.0 + math.sqrt(3.0)) / 6.0)
 
@@ -34,11 +37,13 @@ class NodeSet:
     ``basis_coeffs[j]`` holds the monomial coefficients of l_j in ascending
     order, where l_j(c_k) = delta_{jk}; ``derivative_coeffs[j, k]`` holds
     the coefficients of the k-th derivative of l_j, zero-padded to length s.
+    ``scales`` is (1, c_1, ..., c_s), the scales c of the weight integrals.
     """
 
     nodes: np.ndarray
     basis_coeffs: np.ndarray
     derivative_coeffs: np.ndarray = field(init=False)
+    scales: np.ndarray = field(init=False)
 
     def __post_init__(self):
         s = self.s
@@ -48,6 +53,7 @@ class NodeSet:
                 dk = npoly.polyder(self.basis_coeffs[j], m=k)
                 der[j, k, : dk.size] = dk
         object.__setattr__(self, "derivative_coeffs", der)
+        object.__setattr__(self, "scales", np.concatenate(([1.0], self.nodes)))
 
     @functools.cached_property
     def weight_bound(self) -> float:
@@ -71,12 +77,18 @@ class NodeSet:
         ``derivative_values[p, j, k]`` is the k-th derivative of l_j at the
         p-th point of (0, 1, c_1, ..., c_s), evaluated with the same
         ``polyval`` as eval_basis_derivative, so the two agree bit for bit.
-        The by-parts weight kernels read their endpoint and node values here.
+        The by-parts weight branch reads its endpoint and node values here.
         """
         points = np.concatenate(([0.0, 1.0], self.nodes))
         return npoly.polyval(points, self.derivative_coeffs.transpose(2, 0, 1)).transpose(
             2, 0, 1
         )
+
+    @functools.cached_property
+    def moment_table(self) -> np.ndarray:
+        """(s + 1, s, MOMENT_ORDERS) table, computed on first use, with
+        moment_table[r, j, m] = weighted_moment(self, j, m, scales[r])."""
+        return _moments(self, self.scales, range(MOMENT_ORDERS))
 
     @property
     def s(self) -> int:
@@ -140,21 +152,24 @@ def eval_basis_derivative(ns: NodeSet, j: int, k: int, x) -> float | np.ndarray:
 
 
 def weighted_moment(ns: NodeSet, j: int, m: int, scale: float = 1.0) -> float:
-    """Exact integral of l_j(scale*z) * (1-z)**m over z in [0, 1].
-
-    Uses int_0^1 z^n (1-z)^m dz = 1 / ((n+m+1) * C(n+m, n)).
-    """
+    """Exact integral of l_j(scale*z) * (1-z)**m over z in [0, 1]."""
     _check_index(ns, j)
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    # Python floats: the same IEEE operations as on numpy scalars, faster
-    total = 0.0
-    fac = 1.0
-    scale = float(scale)
-    for n, a in enumerate(ns.basis_coeffs[j].tolist()):
-        if a != 0.0:
-            total += a * fac / ((n + m + 1) * math.comb(n + m, n))
-        fac *= scale
+    return float(_moments(ns, [scale], [m])[0, j, 0])
+
+
+def _moments(ns: NodeSet, scales, orders) -> np.ndarray:
+    """weighted_moment at every scale and order, (len(scales), s, len(orders)),
+    from int_0^1 z^n (1-z)^m dz = 1 / ((n+m+1) C(n+m, n)), adding the monomials
+    in order so that an entry has the same bits in any batch."""
+    scales = np.asarray(scales, dtype=float)[:, None, None]
+    total = np.zeros((len(scales), ns.s, len(orders)))
+    fac = np.ones_like(scales)
+    for n in range(ns.s):
+        den = np.array([(n + m + 1) * math.comb(n + m, n) for m in orders], dtype=float)
+        total += ns.basis_coeffs[:, n, None] * fac / den
+        fac = fac * scales
     return total
 
 

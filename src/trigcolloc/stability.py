@@ -15,9 +15,9 @@ differ at O(z^2), which is not small at z = O(1).  The unscaled
 normalization is the one under which the dissipation and dispersion
 measures below have their quoted leading orders (zeta^4 and zeta^3).
 
-S is evaluated one V at a time over a whole array of z: the V-only
-weights are computed once, the stage systems N(z) are solved as one
-stack, and points where N is numerically singular (condition number
+S is evaluated for a whole grid of V and z at once: the weights of every V
+come from one call of coeffs.weights, the stage systems N(V, z) are solved
+as one stack, and points where N is numerically singular (condition number
 above 1e12) come back as NaN.  Spectral radii come from the closed-form
 2x2 eigenvalues.  The scan orders points row-major in V then z.
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lagrange as lg
-from .coeffs import WeightKind, scalar_weight
+from .coeffs import scalar_weight, weights  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import OutsidePeriodicityError, SingularStageSystemError
 from .matfun import sinc
 
@@ -106,37 +106,31 @@ def _singular(N: np.ndarray) -> np.ndarray:
     return singular
 
 
-def _stability_batch(ns: lg.NodeSet, V: float, zs: np.ndarray) -> np.ndarray:
-    """S(V, z) for every z in zs as an (n, 2, 2) array, NaN where N is singular."""
-    if V < 0.0:
-        raise ValueError(f"V must be >= 0, got {V}")
-    lam = math.sqrt(V)
-    c = ns.nodes
+def _stability_batch(ns: lg.NodeSet, vs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """S(V, z) for every V in vs and z in zs as an (n_v * n_z, 2, 2) array,
+    row-major in V then z, NaN where N is singular."""
+    if np.count_nonzero(vs >= 0.0) < vs.size:
+        raise ValueError(f"V must be >= 0, got {vs.min()}")
     s = ns.s
-    b = np.array(
-        [
-            [scalar_weight(ns, kind, j, lam) for j in range(s)]
-            for kind in (WeightKind.Q, WeightKind.P)
-        ]
-    )
-    A = np.array(
-        [
-            [scalar_weight(ns, WeightKind.STAGE, j, lam, i) for j in range(s)]
-            for i in range(s)
-        ]
-    )
-    phi0, phi1 = math.cos(lam), float(sinc(lam))
-    F = np.array([np.cos(c * lam), c * sinc(c * lam)])
-    zs = np.asarray(zs, dtype=float)
-    N = np.eye(s) + zs[:, None, None] * A
+    lam = np.sqrt(vs)
+    b_q, b_p, A = weights(ns, lam)
+    # phi0 and phi1 at (c lam)^2 for c in ns.scales = (1, c_1, ..., c_s)
+    cl = lam[:, None] * ns.scales
+    cosines, sincs = np.cos(cl), sinc(cl)
+    phi0, phi1 = cosines[:, 0], sincs[:, 0]
+    F = np.array([cosines[:, 1:], ns.nodes * sincs[:, 1:]]).transpose(1, 0, 2)
+    N = (np.eye(s) + zs[:, None, None] * A.transpose(2, 0, 1)[:, None]).reshape(-1, s, s)
     singular = _singular(N)
-    if singular.any():
+    if np.count_nonzero(singular):
         N[singular] = np.eye(s)  # solvable stand-in; those S become NaN
-    # y[n, m] = N(z_n)^-1 F_m, one right-hand side per solve; with vecdot
-    # this matches the per-point solve and b @ y bit for bit
-    y = np.linalg.solve(N[:, None], F[:, :, None])[..., 0]
-    by = np.vecdot(y[:, None], b[None, :, None])
-    S = np.array([[phi0, phi1], [-V * phi1, phi0]]) - zs[:, None, None] * by
+    # y[v, z, m] = N(V_v, z)^-1 F_m(V_v), one right-hand side per solve; with
+    # vecdot over C-contiguous rows of b (a strided row sums in another
+    # order) this matches the per-point solve and b @ y bit for bit
+    y = np.linalg.solve(N.reshape(len(vs), len(zs), 1, s, s), F[:, None, :, :, None])[..., 0]
+    b = np.array([b_q, b_p]).transpose(2, 0, 1).copy()
+    by = np.vecdot(y[:, :, None], b[:, None, :, None])
+    S0 = np.array([[phi0, phi1], [-vs * phi1, phi0]]).transpose(2, 0, 1)[:, None]
+    S = (S0 - zs[:, None, None] * by).reshape(-1, 2, 2)
     S[singular] = np.nan
     return S
 
@@ -152,7 +146,7 @@ def stability_matrix(ns: lg.NodeSet, V: float, z: float) -> StabilityMatrix:
     """S(V, z) for the test equation; raises ValueError unless V and z are
     finite, SingularStageSystemError on a singular stage system."""
     _check_point(V, z)
-    S = _stability_batch(ns, V, np.array([z]))[0]
+    S = _stability_batch(ns, np.array([V]), np.array([z]))[0]
     if math.isnan(S[0, 0]):
         raise SingularStageSystemError(
             f"stage system singular at (V, z) = ({V:.6g}, {z:.6g})", V=V, z=z
@@ -191,7 +185,7 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
     (v_lo, v_hi), (z_lo, z_hi), (n_v, n_z) = check_scan_window(v_range, z_range, grid)
     vs = np.linspace(v_lo, v_hi, n_v)
     zs = np.linspace(z_lo, z_hi, n_z)
-    S = np.concatenate([_stability_batch(ns, V, zs) for V in vs])
+    S = _stability_batch(ns, vs, zs)
     tr = S[:, 0, 0] + S[:, 1, 1]
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     rho = spectral_radius_2x2(tr, det)

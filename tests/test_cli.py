@@ -323,3 +323,22 @@ def test_manifest_round_trip():
     assert manifest.h_list == (0.1, 0.05, 0.025)
     assert manifest.t_end == 2.0
     assert manifest.iteration_mode == "tolerance"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--m-scalar", "nan", "--h", "0.1"],
+        ["coeffs", "--m-scalar", "inf", "--h", "0.1"],
+        ["coeffs", "--m-scalar", "1", "--h", "nan"],
+        ["solve", "--problem", "fpu", "--h", "nan"],
+        ["energy", "--problem", "fpu", "--h", "inf"],
+        ["convergence", "--problem", "fpu", "--h-list", "0.1,nan,0.025"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    # once a traceback, a NaN CSV with exit 0, or an OverflowError
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err

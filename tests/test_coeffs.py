@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trigcolloc import coeffs as cf
 from trigcolloc import lagrange as lg
 from trigcolloc import matfun as mf
+from trigcolloc import stability as stab
 from trigcolloc.coeffs import WeightKind
 from trigcolloc.errors import (
     AsymmetricMatrixError,
-    KernelBranchError,
+    InvalidNodesError,
     SeriesConvergenceError,
 )
 
@@ -73,30 +74,21 @@ def test_dispatch_is_continuous_at_switch():
 
 
 def test_series_agrees_with_recursion_above_switch():
+    # the two branches of the evaluator at the q row (0) and the p row (s + 1)
     ns = lg.build_node_set(S3_NODES)
-    lam = 0.8
-    for kind in (WeightKind.Q, WeightKind.P):
-        for j in range(ns.s):
-            a = cf.series_weight(ns, kind, j, lam * lam)
-            b = cf.recursion_weight(ns, kind, j, lam)
-            assert abs(a - b) < 1e-12
+    lam = np.array([0.8, 0.8])
+    rows = np.array([0, ns.s + 1])
+    series = cf._series(ns, rows, lam)
+    by_parts = cf._by_parts(ns, lam[:1])[rows, :, 0]
+    assert np.abs(series - by_parts).max() < 1e-12
 
 
-def test_recursion_refuses_small_argument():
-    ns = lg.gauss2()
-    with pytest.raises(KernelBranchError):
-        cf.recursion_weight(ns, WeightKind.Q, 0, 0.1)
-    # stage kind dispatches on c_i * lam, so lam may exceed the switch
-    with pytest.raises(KernelBranchError):
-        cf.recursion_weight(ns, WeightKind.STAGE, 0, 0.6, 0)
-
-
-def test_recursion_weight_rejects_out_of_range_indices():
+def test_scalar_weight_rejects_out_of_range_indices():
     ns = lg.gauss2()
     for kind, j, i in ((WeightKind.Q, -1, None), (WeightKind.P, 2, None),
                        (WeightKind.STAGE, 0, -1), (WeightKind.STAGE, 0, 2)):
         with pytest.raises(IndexError):
-            cf.recursion_weight(ns, kind, j, 10.0, i)
+            cf.scalar_weight(ns, kind, j, 10.0, i)
 
 
 def test_every_branch_rejects_an_out_of_range_stage_index():
@@ -108,8 +100,74 @@ def test_every_branch_rejects_an_out_of_range_stage_index():
                 cf.scalar_weight(ns, WeightKind.STAGE, 0, lam, i)
             with pytest.raises(IndexError):
                 cf.quadrature_weight(ns, WeightKind.STAGE, 0, lam * lam, i)
-        with pytest.raises(IndexError):
-            cf.series_weight(ns, WeightKind.STAGE, 0, 0.01, i)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, -1e-300, 1e155])
+def test_weights_reject_non_finite_negative_or_huge_frequencies(lam):
+    # NaN once came back as a NaN weight and inf as a "math domain error"
+    ns = lg.gauss2()
+    with pytest.raises(ValueError, match="frequencies must be"):
+        cf.scalar_weight(ns, WeightKind.Q, 0, lam)
+    with pytest.raises(ValueError, match="frequencies must be"):
+        cf.weights(ns, np.array([0.3, lam, 10.0]))
+
+
+def test_weights_stay_finite_up_to_the_largest_frequency():
+    # lam^m overflows for m >= 3 there; the scalar kernels raised OverflowError
+    for nodes in ((1e-150, 0.5, 1.0), (0.0, 1.0), lg.gauss_nodes(6).nodes):
+        ns = lg.build_node_set(nodes)
+        for w in cf.weights(ns, np.array([cf.LAMBDA_MAX, 1e100, 0.5 / 1e-150])):
+            assert np.isfinite(w).all()
+
+
+@pytest.mark.parametrize(
+    "h, entry", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.1, math.nan), (0.1, math.inf)]
+)
+def test_build_table_rejects_a_non_finite_step_or_matrix(h, entry):
+    M = np.array([[4.0, entry], [entry, 3.0]])
+    for path in ("auto", "spectral", "series"):
+        with pytest.raises(ValueError):
+            cf.build_table(lg.gauss2(), M, h, path=path)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    nodes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True),
+    lams=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_weights_equal_each_weight_alone(nodes, lams, seed):
+    # every entry is a function of its own frequency only, bit for bit,
+    # whatever else shares the call and in whatever order
+    try:
+        ns = lg.build_node_set(nodes)
+    except InvalidNodesError:
+        assume(False)  # nodes closer than MIN_NODE_GAP
+    switch = [cf.LAMBDA_SWITCH / c for c in ns.scales if c * cf.LAMBDA_MAX >= cf.LAMBDA_SWITCH]
+    sides = [math.nextafter(x, d) for x in switch for d in (0.0, math.inf)]
+    lam = np.array([0.0, *switch, *sides, *lams])
+    batch = cf.weights(ns, lam)
+    perm = np.random.default_rng(seed).permutation(lam.size)
+    for got, want in zip(cf.weights(ns, lam[perm]), batch):
+        assert np.array_equal(_bits(got), _bits(want[..., perm]))
+    for k in range(lam.size):
+        for alone, want in zip(cf.weights(ns, lam[k : k + 1]), batch):
+            assert np.array_equal(_bits(alone[..., 0]), _bits(want[..., k]))
+
+
+def test_by_parts_scans_and_tables_leave_the_moment_table_unbuilt():
+    # the series branch alone reads the moments; the stability set-up at
+    # V = 100 and a table with every c * lam above the switch never build them
+    ns = lg.gauss2()
+    stab.stability_matrix(ns, 100.0, 0.0)
+    cf.build_table(ns, np.diag([900.0, 1600.0]), 0.5)
+    assert "moment_table" not in vars(ns)
+    cf.build_table(ns, np.diag([0.0, 1600.0]), 0.5)
+    assert "moment_table" in vars(ns)
 
 
 @pytest.mark.parametrize("nodes", [(1.0 / 3.0, 1.0), (0.2, 0.5, 1.0)])
@@ -128,9 +186,10 @@ def test_stage_weight_at_node_one_is_the_q_weight_exactly(nodes):
 
 
 def test_series_guard_rejects_large_argument():
+    # the q row at lam = 10: squared argument 100 > SERIES_NORM_GUARD
     ns = lg.gauss2()
     with pytest.raises(SeriesConvergenceError):
-        cf.series_weight(ns, WeightKind.Q, 0, 100.0)
+        cf._series(ns, np.array([0]), np.array([10.0]))
 
 
 def test_zero_frequency_equals_gauss2_point_shorthand():

@@ -1009,3 +1009,10 @@ def test_one_symmetry_test_for_every_path_choice():
         else:
             with pytest.raises(AsymmetricMatrixError):
                 mf.decompose_symmetric(M)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+def test_solver_config_rejects_a_step_that_is_not_positive(h):
+    # a NaN step passes h <= 0 and once reached the coefficient layer
+    with pytest.raises(ValueError, match="step size"):
+        SolverConfig(h=h)

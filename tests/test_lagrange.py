@@ -170,3 +170,26 @@ def test_cached_derivative_values_match_eval_basis_derivative(nodes):
         for j in range(ns.s):
             for k in range(ns.s):
                 assert table[p, j, k] == lg.eval_basis_derivative(ns, j, k, x)
+
+
+def _scalar_moment(ns, j, m, scale):
+    # int_0^1 z^n (1-z)^m dz = 1 / ((n+m+1) C(n+m, n)), one monomial at a time
+    total, fac = 0.0, 1.0
+    for n, a in enumerate(ns.basis_coeffs[j].tolist()):
+        total += a * fac / ((n + m + 1) * math.comb(n + m, n))
+        fac *= scale
+    return total
+
+
+@pytest.mark.parametrize("nodes", [(0.5,), lg.GAUSS2_NODES, (0.0, 0.4, 1.0), (0.2, 0.5, 0.9)])
+def test_moment_table_is_the_scalar_moment_sum_bit_for_bit(nodes):
+    ns = lg.build_node_set(nodes)
+    table = ns.moment_table
+    assert table.shape == (ns.s + 1, ns.s, lg.MOMENT_ORDERS)
+    assert ns.moment_table is table
+    for r, scale in enumerate(ns.scales.tolist()):
+        for j in range(ns.s):
+            for m in range(lg.MOMENT_ORDERS):
+                want = _scalar_moment(ns, j, m, scale)
+                assert table[r, j, m] == want
+                assert lg.weighted_moment(ns, j, m, scale=scale) == want

@@ -267,7 +267,7 @@ def test_screened_singular_flag_matches_the_svd_test(nodes, V, zs, log_gap):
     N = np.eye(s) + zs[:, None, None] * A
     want = np.linalg.cond(N) > 1e12
     assert np.array_equal(st._singular(N), want)
-    S = st._stability_batch(ns, V, zs)
+    S = st._stability_batch(ns, np.array([V]), zs)
     assert np.array_equal(np.isnan(S).any(axis=(1, 2)), want)
 
 
