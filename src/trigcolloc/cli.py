@@ -21,17 +21,14 @@ from .coeffs import (
     build_table,
     quadrature_weight,
 )
-from .errors import OracleUnreliableError, StageIterationError, TrigCollocError
-from .integrator import ERROR_FLOOR, SolverConfig, fit_order, solve
+from .errors import StageIterationError, TrigCollocError
+from .integrator import ERROR_FLOOR, SolverConfig, endpoint_errors, fit_order, solve
 from .problems import PROBLEMS, ProblemSpec, build_problem
 from .stability import check_scan_window, scan_region
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
-
-# Times `convergence` doubles the substeps of a refused reference solve.
-REFERENCE_RETRIES = 3
 
 
 def fmt(x: float) -> str:
@@ -142,34 +139,13 @@ def cmd_energy(manifest: RunManifest) -> int:
 
 
 def cmd_convergence(manifest: RunManifest) -> int:
-    ns = _node_set(manifest)
     spec = _problem(manifest)
-    ivp = spec.ivp
-    if spec.exact_solution is not None and not manifest.zero_force:
-        ref_q, ref_p = spec.exact_solution(ivp.t_end)
-    else:
-        from .integrator import reference_solve
-
-        # A refused reference is retried at twice the substeps, at most
-        # REFERENCE_RETRIES times; its self-check tolerance never changes.
-        per_unit = int(np.ceil(8.0 / min(manifest.h_list)))
-        for retry in range(REFERENCE_RETRIES + 1):
-            try:
-                ref = reference_solve(ivp, per_unit, node_set=ns)
-                break
-            except OracleUnreliableError:
-                if retry == REFERENCE_RETRIES:
-                    raise
-                per_unit *= 2
-        ref_q, ref_p = ref.q[-1], ref.p[-1]
-
-    hs = sorted(manifest.h_list, reverse=True)
-    errors = []
-    for h in hs:
-        traj = solve(ivp, _config(manifest, h), node_set=ns)
-        errors.append(
-            max(np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max())
-        )
+    # the closed form solves the forced problem only
+    reference = None if manifest.zero_force else spec.exact_solution
+    hs, errors = endpoint_errors(
+        spec.ivp, manifest.h_list, reference, _node_set(manifest),
+        _config(manifest, max(manifest.h_list)),
+    )
     lines = ["h,global_error"]
     lines += [f"{fmt(h)},{fmt(e)}" for h, e in zip(hs, errors)]
     _write(manifest.out, "\n".join(lines) + "\n")

@@ -12,10 +12,10 @@ F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
   stages  Q = predictor @ y + stage_matrix @ F(Q)     (fixed-point sweeps)
   update  [q_new; p_new] = propagator @ y + force_matrix @ F
 
-Each sweep fills F with one force call on all s stages when the IVP is
-vectorized, else with one call per stage.  Tolerance mode accepts the
-stages Q_k of sweep k on either of two tests, with res_k = max |Q_k - Q_(k-1)|
-and bound = tol * (1 + max |Q_k|):
+Each sweep fills F with one force call on all s stages (a per-row force is
+wrapped into that call, which calls it once per stage).  Tolerance mode
+accepts the stages Q_k of sweep k on either of two tests, with
+res_k = max |Q_k - Q_(k-1)| and bound = tol * (1 + max |Q_k|):
 
   residual test     res_k <= bound; the update reuses the F of that sweep,
                     F(Q_(k-1)), which costs no force call;
@@ -46,9 +46,9 @@ on the first iterate, and a fixed number of sweeps from the predictor is
 the map that mode promises.
 
 Everything a step needs besides its arithmetic stays the same for a whole
-solve: the operators, the buffers and their views, and the contraction
-guard.  A private _Stepper holds them for one (table, ivp, cfg), so
-``solve`` builds one stepper for its full steps and one for a trailing
+solve: the operators, the buffers and their views, the force in its
+batched form, and the contraction guard.  A private _Stepper holds them for
+one (table, ivp, cfg), so ``solve`` builds one stepper for its full steps and one for a trailing
 partial step, and each step then only runs the products above in place.
 ``step`` and ``fixed_point_stages`` are one-shot wrappers over the same
 stepper, so the sweep and both tests exist in one place.
@@ -86,14 +86,19 @@ _GRID_SNAP = 1e-9
 # Order fits ignore errors below this floor (round-off plateau).
 ERROR_FLOOR = 1e-12
 
+# Times a refused reference solve is retried at twice the substeps.
+REFERENCE_RETRIES = 3
+
 
 @dataclass
 class OscillatoryIVP:
     """Second-order IVP q'' + M q = f(t, q) with optional diagnostics.
 
-    ``lipschitz`` is a bound on the force Jacobian used by the contraction
-    guard; ``hamiltonian`` (q, p) -> float and the skew ``invariant``
-    matrix D (tracking q^T D p) enable the trajectory diagnostics.
+    ``lipschitz``, a bound on the force Jacobian, turns on the contraction
+    guard: a step whose check_contraction factor is >= 1 then raises
+    ContractionGuardError.  ``hamiltonian`` (q, p) -> float and the skew
+    ``invariant`` matrix D (tracking q^T D p) enable the trajectory
+    diagnostics.
 
     ``vectorized`` declares the callbacks' signature.  False (default):
     ``force(t, q)`` gets a float t and a d-vector q and returns a d-vector,
@@ -153,7 +158,6 @@ class SolverConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     iteration_mode: str = "tolerance"
-    enforce_contraction_guard: bool = False
 
     def __post_init__(self):
         if not self.h > 0.0:
@@ -203,24 +207,26 @@ def check_contraction(ns: lg.NodeSet, h: float, lipschitz: float) -> float:
     return h * h * lipschitz * ns.weight_bound
 
 
-def _stage_forces(
-    ivp: OscillatoryIVP, stage_t: np.ndarray, stages: np.ndarray, out: np.ndarray
-) -> None:
-    """Fill out (s, d) with f(t_j, Q_j): one call on all rows if the IVP is
-    vectorized (stage_t is the (s, 1) column), else one call per row."""
-    if ivp.vectorized:
-        out[...] = ivp.force(stage_t, stages)
-    else:
+def _batched_force(force: Callable[[float, np.ndarray], np.ndarray]):
+    """The vectorized form (t (s, 1), Q (s, d)) -> (s, d) of a per-row force:
+    one call per row, with a float t and a d-vector."""
+
+    def batched(stage_t: np.ndarray, stages: np.ndarray) -> np.ndarray:
+        out = np.empty_like(stages)
         for j, tj in enumerate(stage_t.ravel().tolist()):
-            out[j] = ivp.force(tj, stages[j])
+            out[j] = force(tj, stages[j])
+        return out
+
+    return batched
 
 
 class _Stepper:
     """The steps of one (table, ivp, cfg): operators, buffers and checks.
 
     Everything that stays the same from step to step is done here once: the
-    contraction guard, the validation of a given ``forces`` buffer, and the
-    allocation of every buffer and view a step writes.  ``stages`` and
+    contraction guard, the batched form of the force, the validation of a
+    given ``forces`` buffer, and the allocation of every buffer and view a
+    step writes.  ``stages`` and
     ``advance`` then do only the arithmetic of the module docstring.  The
     table must be built for cfg.h, as solve's are; step checks its caller's.
 
@@ -240,7 +246,7 @@ class _Stepper:
     ):
         h = cfg.h
         ns = table.node_set
-        if cfg.enforce_contraction_guard and ivp.lipschitz is not None:
+        if ivp.lipschitz is not None:
             factor = check_contraction(ns, h, ivp.lipschitz)
             if factor >= 1.0:
                 raise ContractionGuardError(
@@ -263,12 +269,11 @@ class _Stepper:
                 f" got a {layout} {forces.dtype} {forces.shape} one"
             )
         self.table = table
-        self.ivp = ivp
         self.cfg = cfg
         self.forces = forces
         self.stage_t = np.empty((s, 1))
         self._n = n
-        self._vectorized_force = ivp.force if ivp.vectorized else None
+        self._force = ivp.force if ivp.vectorized else _batched_force(ivp.force)
         self._fixed_mode = cfg.iteration_mode == "fixed"
         self._flat_forces = forces.reshape(n)
         self._pred = np.empty(n)
@@ -296,7 +301,6 @@ class _Stepper:
         iterations, residual_history) as fixed_point_stages does, which
         documents the iteration and what ``self.forces`` holds on return."""
         table = self.table
-        ivp = self.ivp
         forces = self.forces
         flat_forces = self._flat_forces
         stage_matrix = table.stage_matrix
@@ -312,7 +316,7 @@ class _Stepper:
         pairs = self._pairs
         news_sd = self._news_sd
         magnitude = self._magnitude
-        force = self._vectorized_force
+        force = self._force
         history: list[float] = []
         fixed_mode = self._fixed_mode
         tol = self.cfg.tol
@@ -325,10 +329,7 @@ class _Stepper:
         # axis= by keyword takes 0.1-0.2 us more than one given them by position
         # (numpy 2.4, one BLAS thread).  Keep these forms.
         for sweep in range(1, max_iter + 1):
-            if force is None:
-                _stage_forces(ivp, stage_t, stages_sd, forces)
-            else:
-                forces[...] = force(stage_t, stages_sd)
+            forces[...] = force(stage_t, stages_sd)
             odd = sweep & 1
             rows = pairs[odd]
             new = rows[1]
@@ -356,7 +357,7 @@ class _Stepper:
             if res < CONTRACTION_MAX * prev:
                 theta = res / prev
                 if theta / (1.0 - theta) * res <= bound:
-                    _stage_forces(ivp, stage_t, stages_sd, forces)
+                    forces[...] = force(stage_t, stages_sd)
                     return stages_sd, sweep, history
             prev = res
         if fixed_mode:
@@ -373,7 +374,7 @@ class _Stepper:
         what ``stages`` returns.  The update is step's."""
         stages, iterations, history = self.stages(t, start)
         if self._fixed_mode:
-            _stage_forces(self.ivp, self.stage_t, stages, self.forces)
+            self.forces[...] = self._force(self.stage_t, stages)
         y_new, q_new, p_new = self._states[self._next]
         # the operator products as in stages: ndarray.dot, not `@`
         self.table.propagator.dot(self.y, y_new)
@@ -528,10 +529,11 @@ def solve(
         exc.step_index = k
         raise
     energy = None
-    if ivp.hamiltonian is not None and ivp.vectorized:
-        energy = np.asarray(ivp.hamiltonian(q_out, p_out), dtype=float)
-    elif ivp.hamiltonian is not None:
-        energy = np.array([ivp.hamiltonian(q_out[n], p_out[n]) for n in range(n_steps + 1)])
+    if ivp.hamiltonian is not None:
+        hamiltonian = ivp.hamiltonian
+        if not ivp.vectorized:  # one call per row, as _batched_force makes
+            hamiltonian = lambda Q, P: [ivp.hamiltonian(q, p) for q, p in zip(Q, P)]
+        energy = np.asarray(hamiltonian(q_out, p_out), dtype=float)
     invariant = None
     if ivp.invariant is not None:
         invariant = np.einsum("nk,kl,nl->n", q_out, ivp.invariant, p_out)
@@ -582,9 +584,45 @@ class OrderEstimate:
     errors: np.ndarray
     used: np.ndarray
 
-    @property
-    def excluded(self) -> list[float]:
-        return [float(h) for h, u in zip(self.step_sizes, self.used) if not u]
+
+def endpoint_errors(
+    ivp: OscillatoryIVP,
+    step_sizes,
+    reference: Callable[[float], tuple[np.ndarray, np.ndarray]] | Trajectory | None,
+    node_set: lg.NodeSet,
+    config: SolverConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step sizes, largest first, and the max-norm endpoint error over
+    (q, p) of a solve with ``config`` at each h.
+
+    ``reference`` is a callable t -> (q, p) or a Trajectory, or None for a
+    reference_solve at ceil(8 / min h) substeps per unit, with ``node_set``
+    if it has two nodes or more and Gauss-2 otherwise (more accurate than
+    a one-node method).  A refused reference is retried at twice the
+    substeps, at most REFERENCE_RETRIES times.
+    """
+    hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
+    if reference is None:
+        per_unit = int(math.ceil(8.0 / hs.min()))
+        ref_nodes = node_set if node_set.s >= 2 else lg.gauss2()
+        for retry in range(REFERENCE_RETRIES + 1):
+            try:
+                reference = reference_solve(ivp, per_unit * 2**retry, node_set=ref_nodes)
+                break
+            except OracleUnreliableError:
+                if retry == REFERENCE_RETRIES:
+                    raise
+    if isinstance(reference, Trajectory):
+        ref_q, ref_p = reference.q[-1], reference.p[-1]
+    else:
+        ref_q, ref_p = reference(ivp.t_end)
+    errors = np.empty(hs.size)
+    for n, h in enumerate(hs):
+        traj = solve(ivp, replace(config, h=h), node_set=node_set)
+        errors[n] = max(
+            np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max()
+        )
+    return hs, errors
 
 
 def estimate_order(
@@ -598,32 +636,16 @@ def estimate_order(
 ) -> OrderEstimate:
     """Least-squares slope of log(endpoint error) against log(h).
 
-    ``reference`` may be a callable t -> (q, p), a Trajectory, or None
-    (which builds a reference_solve at 8x the finest grid).  Errors at or
-    below error_floor are excluded from the fit; at least two points must
-    survive.
+    The errors and ``reference`` are endpoint_errors'.  Errors at or below
+    error_floor are excluded from the fit; at least two points must
+    survive, else ValueError.
     """
-    hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
-    if hs.size < 3:
-        raise ValueError(f"need at least 3 step sizes, got {hs.size}")
+    hs = sorted(step_sizes, reverse=True)
+    if len(hs) < 3:
+        raise ValueError(f"need at least 3 step sizes, got {len(hs)}")
     ns = node_set if node_set is not None else lg.gauss2()
-    if reference is None:
-        # The oracle grid is 8x finer than the finest measured grid and
-        # uses at least the Gauss-2 pair so low-order node sets are
-        # measured against something strictly more accurate.
-        per_unit = int(math.ceil(8.0 / hs.min()))
-        ref_nodes = ns if ns.s >= 2 else lg.gauss2()
-        reference = reference_solve(ivp, per_unit, node_set=ref_nodes)
-    if isinstance(reference, Trajectory):
-        ref_q, ref_p = reference.q[-1], reference.p[-1]
-    else:
-        ref_q, ref_p = reference(ivp.t_end)
-    errors = np.empty(hs.size)
-    for n, h in enumerate(hs):
-        traj = solve(ivp, SolverConfig(h=h, tol=tol, max_iter=max_iter), node_set=ns)
-        errors[n] = max(
-            np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max()
-        )
+    config = SolverConfig(h=hs[0], tol=tol, max_iter=max_iter)
+    hs, errors = endpoint_errors(ivp, hs, reference, ns, config)
     slope, used = fit_order(hs, errors, error_floor)
     if slope is None:
         raise ValueError(

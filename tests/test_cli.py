@@ -8,6 +8,7 @@ import pytest
 from trigcolloc import cli, integrator
 from trigcolloc import lagrange as lg
 from trigcolloc.errors import OracleUnreliableError
+from trigcolloc.problems import build_problem
 
 
 def run(argv):
@@ -259,14 +260,32 @@ def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
 
 
 def test_convergence_order_on_fpu(tmp_path, capsys):
+    # 320 substeps per unit fail the reference self-check here; the CLI and
+    # estimate_order share the driver that retries it, so both run and agree
+    out = tmp_path / "conv.csv"
     code = run([
         "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
-        "--h-list", "0.1,0.05,0.025", "--out", str(tmp_path / "conv.csv"),
+        "--h-list", "0.1,0.05,0.025", "--out", str(out),
     ])
     assert code == cli.EXIT_OK
-    err = capsys.readouterr().err
-    assert err.startswith("least-squares order: ")
-    assert 3.8 <= float(err.split(":")[1]) <= 4.2
+    est = integrator.estimate_order(
+        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.1, 0.05, 0.025]
+    )
+    assert 3.8 <= est.slope <= 4.2
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == est.errors.tolist()
+    assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
+
+
+def test_convergence_of_one_node_method_uses_gauss2_reference(tmp_path, capsys):
+    # a midpoint reference misses its own self-check even after three retries
+    code = run([
+        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+        "--h-list", "0.1,0.05,0.025", "--nodes", "0.5",
+        "--out", str(tmp_path / "conv.csv"),
+    ])
+    assert code == cli.EXIT_OK
+    assert 1.7 <= float(capsys.readouterr().err.split(":")[1]) <= 2.3
 
 
 def test_convergence_retries_a_refused_reference(tmp_path, capsys):

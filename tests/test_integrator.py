@@ -805,10 +805,15 @@ def test_contraction_guard_blocks_large_steps():
         t_end=2.0,
         lipschitz=50.0,
     )
-    cfg = SolverConfig(h=0.5, enforce_contraction_guard=True)
+    # giving lipschitz turns the guard on
     assert it.check_contraction(lg.gauss2(), 0.5, 50.0) > 1.0
     with pytest.raises(ContractionGuardError):
-        it.solve(ivp, cfg)
+        it.solve(ivp, SolverConfig(h=0.5))
+    # below 1 the guard lets solve run, and the run is the unguarded one
+    assert it.check_contraction(lg.gauss2(), 0.1, 50.0) < 1.0
+    traj = it.solve(ivp, SolverConfig(h=0.1))
+    plain = it.solve(replace(ivp, lipschitz=None), SolverConfig(h=0.1))
+    assert np.isclose(traj.t[-1], 2.0) and np.array_equal(traj.q, plain.q)
 
 
 def test_grid_exact_multiple_hits_endpoint():
