@@ -1,37 +1,20 @@
 """Linear stability and dispersion analysis on q'' + w^2 q = -eps * q.
 
-With V = (h w)^2 and z = h^2 * eps, the analysis matrix acting on
-(q, h p) is, writing b_q, b_p for the scalar q/p weights, A for the raw
-stage-coupling weights, N = I + z A, F0[i] = phi0(c_i^2 V) and
-F1[i] = c_i phi1(c_i^2 V):
+With V = (h w)^2 and z = h^2 * eps, one integrator step at h = 1 on
+q'' + V q = -z q maps (q, p) to S (q, p).  Its stages Q = P y - z K Q and
+update y' = R y - z B Q, with P, K, R and B the predictor, stage_matrix,
+propagator and force_matrix of coeffs.one_step_operators on 1 x 1 blocks,
+give S = R - z B (I + z K)^-1 P once the stage iteration has converged.
+At z = 0 S is the exact rotation R.  Symmetric nodes c_i = 1 - c_(s+1-i)
+give det S = 1 to round-off (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, symmetric methods); Gauss-s, s <= 3, measures O(zeta^(2s+1)) in phase.
 
-  S = [[phi0 - z b_q' N^-1 F0,  phi1 - z b_q' N^-1 F1],
-       [-V phi1 - z b_p' N^-1 F0,  phi0 - z b_p' N^-1 F1]]
-
-The stage coupling enters N unscaled.  The integrator's stage system
-carries an extra c_i^2 factor on the coupling, so S reproduces the true
-one-step propagator exactly at z = 0 and to first order in z; the two
-differ at O(z^2), which is not small at z = O(1).  The unscaled
-normalization is the one under which the dissipation and dispersion
-measures below have their quoted leading orders (zeta^4 and zeta^3).
-
-S is evaluated for a whole grid of V and z at once: the weights of every V
-come from one call of coeffs.weights, the stage systems N(V, z) are solved
-as one stack, and points where N is numerically singular (condition number
-above 1e12) come back as NaN.  Spectral radii come from the closed-form
-2x2 eigenvalues.  The scan orders points row-major in V then z.
-
-The singularity test is screened so that most points need no SVD.  For
-an s x s matrix, sigma_min >= |det N| / sigma_max^(s-1), hence
-
-  cond_2(N) <= ||N||_F^s / |det N|,
-
-which costs one LU determinant and one dot product.  A point whose bound
-is at most 1e10 (a factor 100 below the 1e12 threshold, far more than
-the round-off of either side for s <= 8) is cleared; every other point,
-including those with a zero, NaN or infinite bound, goes to the SVD
-condition number, so the screen never clears a point the SVD would flag.
-On the default Gauss-2 scan only the one singular point reaches the SVD.
+A whole grid of V and z is evaluated at once: one coeffs.weights and one
+one_step_operators call cover every V, and the stage systems N = I + z K(V)
+are solved as one stack with both columns of P as right-hand sides.  Points
+where N is numerically singular (condition number above 1e12) come back as
+NaN.  The scan orders points row-major in V then z.  A screen (_singular)
+spares most points the SVD of that test.
 """
 
 from __future__ import annotations
@@ -42,18 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lagrange as lg
-from .coeffs import scalar_weight, weights  # noqa: F401 (perfbench/spans.py wraps it here)
+from .coeffs import one_step_operators, scalar_weight, weights  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import OutsidePeriodicityError, SingularStageSystemError
 from .matfun import sinc
 
-# |rho - 1| window used for the periodicity flag.
+# |rho - 1| window of the periodicity flag; rho within it above 1 counts
+# as stable, so round-off on an exact rotation does not decide the flag.
 PERIODIC_RHO_TOL = 1e-9
 
-# Reciprocal condition number below which N = I + zA is treated singular.
+# Reciprocal condition number below which N = I + zK is treated singular.
 _SINGULAR_RCOND = 1e-12
 
 # Condition bound ||N||_F^s / |det N| at or below which a point is cleared
-# without an SVD; a margin of 100 below the threshold 1 / _SINGULAR_RCOND.
+# without an SVD: a margin of 100 below the threshold 1 / _SINGULAR_RCOND,
+# far more than the round-off of either side for s <= 8.
 _SCREEN_BOUND = 1e10
 
 
@@ -93,8 +78,11 @@ def spectral_radius_2x2(trace, det):
 def _singular(N: np.ndarray) -> np.ndarray:
     """cond_2(N) > 1 / _SINGULAR_RCOND for a stack of (s, s) matrices.
 
-    The SVD runs only where the screen cond_2 <= ||N||_F^s / |det N| <=
-    _SCREEN_BOUND fails; written as ~(bound <= limit), a NaN bound fails too.
+    sigma_min >= |det N| / sigma_max^(s-1) gives cond_2(N) <= ||N||_F^s /
+    |det N|: one LU determinant and one dot product.  The SVD runs only where
+    that bound exceeds _SCREEN_BOUND (written ~(bound <= limit), so a NaN
+    bound, or an infinite one from det N = 0, does too), so the screen never
+    clears a point the SVD would flag.
     """
     flat = N.reshape(len(N), -1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -114,23 +102,21 @@ def _stability_batch(ns: lg.NodeSet, vs: np.ndarray, zs: np.ndarray) -> np.ndarr
     s = ns.s
     lam = np.sqrt(vs)
     b_q, b_p, A = weights(ns, lam)
-    # phi0 and phi1 at (c lam)^2 for c in ns.scales = (1, c_1, ..., c_s)
-    cl = lam[:, None] * ns.scales
-    cosines, sincs = np.cos(cl), sinc(cl)
-    phi0, phi1 = cosines[:, 0], sincs[:, 0]
-    F = np.array([cosines[:, 1:], ns.nodes * sincs[:, 1:]]).transpose(1, 0, 2)
-    N = (np.eye(s) + zs[:, None, None] * A.transpose(2, 0, 1)[:, None]).reshape(-1, s, s)
-    singular = _singular(N)
+    # phi0 and phi1 at (c lam)^2 for c in ns.scales = (1, c_1, ..., c_s), as
+    # the 1 x 1 blocks of one_step_operators with V as the batch axis
+    cl = (lam[:, None] * ns.scales)[..., None, None]
+    phi0, phi1 = np.cos(cl), sinc(cl)
+    P, K, R, B = one_step_operators(
+        ns.nodes, 1.0, b_q.T[..., None, None], b_p.T[..., None, None],
+        A.transpose(2, 0, 1)[..., None, None], (phi0[:, 1:], phi1[:, 1:]),
+        (phi0[:, 0], phi1[:, 0]), -vs[:, None, None] * phi1[:, 0],
+    )
+    N = np.eye(s) + zs[:, None, None] * K[:, None]
+    singular = _singular(N.reshape(-1, s, s))
     if np.count_nonzero(singular):
-        N[singular] = np.eye(s)  # solvable stand-in; those S become NaN
-    # y[v, z, m] = N(V_v, z)^-1 F_m(V_v), one right-hand side per solve; with
-    # vecdot over C-contiguous rows of b (a strided row sums in another
-    # order) this matches the per-point solve and b @ y bit for bit
-    y = np.linalg.solve(N.reshape(len(vs), len(zs), 1, s, s), F[:, None, :, :, None])[..., 0]
-    b = np.array([b_q, b_p]).transpose(2, 0, 1).copy()
-    by = np.vecdot(y[:, :, None], b[:, None, :, None])
-    S0 = np.array([[phi0, phi1], [-vs * phi1, phi0]]).transpose(2, 0, 1)[:, None]
-    S = (S0 - zs[:, None, None] * by).reshape(-1, 2, 2)
+        N.reshape(-1, s, s)[singular] = np.eye(s)  # solvable stand-in; those S become NaN
+    y = np.linalg.solve(N, P[:, None])
+    S = (R[:, None] - zs[:, None, None] * (B[:, None] @ y)).reshape(-1, 2, 2)
     S[singular] = np.nan
     return S
 
@@ -178,9 +164,11 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
     """Scan S over a (V, z) grid; rows ordered row-major in V then z.
 
     Returns an array with columns (V, z, rho, trace, det, stable,
-    periodic).  Singular stage systems yield rho/trace/det = nan with
-    both flags 0 instead of aborting the scan.  A window that
-    check_scan_window rejects raises ValueError.
+    periodic): stable is rho <= 1 + PERIODIC_RHO_TOL, periodic is
+    |rho - 1| <= PERIODIC_RHO_TOL with a complex eigenvalue pair.  Singular
+    stage systems yield rho/trace/det = nan with both flags 0 instead of
+    aborting the scan.  A window that check_scan_window rejects raises
+    ValueError.
     """
     (v_lo, v_hi), (z_lo, z_hi), (n_v, n_z) = check_scan_window(v_range, z_range, grid)
     vs = np.linspace(v_lo, v_hi, n_v)
@@ -189,7 +177,7 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
     tr = S[:, 0, 0] + S[:, 1, 1]
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     rho = spectral_radius_2x2(tr, det)
-    stable = rho < 1.0
+    stable = rho <= 1.0 + PERIODIC_RHO_TOL
     periodic = (np.abs(rho - 1.0) <= PERIODIC_RHO_TOL) & (tr * tr < 4.0 * det)
     return np.column_stack(
         [np.repeat(vs, n_z), np.tile(zs, n_v), rho, tr, det, stable, periodic]
@@ -197,8 +185,9 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
 
 
 def dispersion_dissipation(ns: lg.NodeSet, V: float, z: float) -> tuple[float, float]:
-    """Phase error zeta - arccos(tr / (2 sqrt(det))) and amplitude error
-    1 - sqrt(det) at zeta = sqrt(V + z).
+    """Phase error zeta - arccos(tr / (2 sqrt(det))), O(zeta^5) for Gauss-2,
+    and amplitude error 1 - sqrt(det), round-off for symmetric nodes, at
+    zeta = sqrt(V + z).
 
     Requires finite V and z (else ValueError), V + z > 0 and a
     periodic-regime S (det > 0 and |tr| <= 2 sqrt(det)); outside that an

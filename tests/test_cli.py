@@ -178,14 +178,15 @@ def test_stability_scan_is_deterministic(tmp_path):
 
 
 def test_stability_csv_matches_per_cell_formatting(tmp_path):
-    # the 11x9 grid holds the singular points (V, z) = (0, -2) and (0, -6)
+    # with the one node c = 1/2 the 11x9 grid holds the singular point
+    # (V, z) = (0, -8), where the stage system 1 + z c^2 A is 1 - 8 / 8
     out = tmp_path / "s.csv"
     assert run([
-        "stability", "--v-range=0,10", "--z-range=-8,0", "--grid=11x9",
+        "stability", "--nodes=0.5", "--v-range=0,10", "--z-range=-8,0", "--grid=11x9",
         "--out", str(out),
     ]) == cli.EXIT_OK
-    rows = cli.scan_region(lg.gauss2(), (0.0, 10.0), (-8.0, 0.0), (11, 9))
-    assert np.isnan(rows[:, 2]).sum() == 2
+    rows = cli.scan_region(lg.build_node_set([0.5]), (0.0, 10.0), (-8.0, 0.0), (11, 9))
+    assert np.isnan(rows[:, 2]).sum() == 1
     want = ["V,z,rho,trace,det,stable,periodic"] + [
         ",".join([cli.fmt(r[k]) for k in range(5)] + [str(int(r[5])), str(int(r[6]))])
         for r in rows
