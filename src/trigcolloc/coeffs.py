@@ -32,6 +32,12 @@ S = sin(c lam), with c = 1 for p:
 
 The factor c^-2 is what is left of the prefactor once the chain-rule
 factors c^(2k) of z -> l(c z) cancel.
+
+A table's blocks (weights, phi0 and phi1 at each scale, the p-block) are
+defined once, as scalar rows over the frequencies (scalar_blocks), and lifted
+once per path: one matfun.lift (spectral), or one matfun.power_series over
+their Taylor coefficients (_taylor_blocks, series).  The stability analysis
+reads the same rows at d = 1.
 """
 
 from __future__ import annotations
@@ -44,15 +50,18 @@ import numpy as np
 
 from . import lagrange as lg
 from .errors import SeriesConvergenceError
-from .matfun import (
-    PhiPair,
+from .matfun import (  # noqa: F401 (perfbench/spans.py wraps the phi pairs here)
+    SERIES_MAX_TERMS,
+    SERIES_NORM_GUARD,
+    SERIES_TOL,
     SpectralDecomposition,
     decompose_symmetric,
     is_symmetric,
+    lift,
     phi_pair_series,
     phi_pair_spectral,
+    power_series,
     sinc,
-    SERIES_NORM_GUARD,
 )
 
 # Switchover between the series branch (at or below) and the by-parts
@@ -62,9 +71,6 @@ LAMBDA_SWITCH = 0.5
 # Largest frequency weights takes: lam^2 stays finite, so c^2 lam^2 is never 0 * inf.
 LAMBDA_MAX = 1e154
 
-SERIES_REL_TOL = 1e-16
-# Within the series guard (argument <= 30) every series stops by its 20th term.
-SERIES_MAX_TERMS = lg.MOMENT_ORDERS // 2
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(lg.MOMENT_ORDERS)])
 
 QUAD_TOL = 1e-13
@@ -124,7 +130,7 @@ def _series(ns: lg.NodeSet, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
     p row:                        sum_l (-lam^2)^l m(j, 2l; 1) / (2l)!
 
     with m(j, k; c) = int l_j(c z) (1-z)^k dz.  A sum stops at the second of two
-    successive terms below SERIES_REL_TOL of it, or once the power reaches 0.
+    successive terms below SERIES_TOL of it, or once the power reaches 0.
     """
     p_row = rows > ns.s
     at = np.where(p_row, 0, rows)  # the p row has the scale and moments of q
@@ -140,7 +146,7 @@ def _series(ns: lg.NodeSet, rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
         moments = ns.moment_table[at[:, None], :, orders]
         terms = power[:, :-1] * moments / _FACTORIALS[orders][..., None]
         totals = np.cumsum(terms, axis=1)
-        small = np.abs(terms) < SERIES_REL_TOL * (1.0 + np.abs(totals))
+        small = np.abs(terms) < SERIES_TOL * (1.0 + np.abs(totals))
         stop = small & np.roll(small, 1, axis=1)
         stop[:, 0] = False
         stop |= power[:, 1:] == 0.0
@@ -187,7 +193,50 @@ def quadrature_weight(ns: lg.NodeSet, kind: WeightKind, j: int, v: float, i=None
     return value
 
 
-def one_step_operators(c, h, b_q, b_p, A, phi_stage, phi_main, p_block):
+def scalar_blocks(ns: lg.NodeSet, h: float, freqs: np.ndarray) -> np.ndarray:
+    """The one-step map's blocks as rows over the frequencies, (s^2 + 4s + 3, n).
+
+    In the order unstack_blocks reads them: b_q (s rows), A (s * s), b_p (s), the
+    weights at h * freqs; phi0 = cos and phi1 = sinc of (c h) * freqs for c
+    in ns.scales (s + 1 each); the p-block -freqs sin(h freqs) (1).
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    b_q, b_p, A = weights(ns, h * freqs)
+    arg = (ns.scales * h)[:, None] * freqs
+    return np.concatenate((
+        b_q, A.reshape(-1, freqs.size), b_p, np.cos(arg), sinc(arg), [-freqs * np.sin(h * freqs)],
+    ))
+
+
+def _taylor_blocks(ns: lg.NodeSet, h: float) -> np.ndarray:
+    """scalar_blocks' rows as Taylor coefficients of (-h^2 M)^l, one column
+    per l < SERIES_MAX_TERMS, with m(j, k; c) as in _series, c in ns.scales:
+
+      q and stage   c^(2l) m(j, 2l+1; c) / (2l+1)!
+      p             m(j, 2l; 1) / (2l)!
+      phi0, phi1    c^(2l) / (2l)!,  c^(2l) / (2l+1)!
+      p-block       1 / ((2l-1)! h) for l >= 1, 0 at l = 0
+    """
+    odd, even = _FACTORIALS[1::2], _FACTORIALS[0::2]
+    power = np.array([[c ** (2 * l) for l in range(SERIES_MAX_TERMS)] for c in ns.scales])
+    qs = power[:, None] * ns.moment_table[:, :, 1::2] / odd
+    p = ns.moment_table[0, :, 0::2] / even
+    p_block = np.concatenate(([0.0], 1.0 / (odd[:-1] * h)))
+    return np.concatenate((qs.reshape(-1, SERIES_MAX_TERMS), p, power / even, power / odd, [p_block]))
+
+
+def unstack_blocks(ns: lg.NodeSet, blocks: np.ndarray) -> tuple:
+    """(b_q, b_p, A, phi0, phi1, p_block), in CoefficientTable's field order,
+    as views of a stack of d x d blocks whose axis -3 runs over scalar_blocks' rows."""
+    s = ns.s
+    w = blocks[..., : (s + 2) * s, :, :]
+    w = w.reshape(w.shape[:-3] + (s + 2, s) + w.shape[-2:])
+    phi = blocks[..., (s + 2) * s : -1, :, :]
+    return (w[..., 0, :, :, :], w[..., -1, :, :, :], w[..., 1:-1, :, :, :],
+            phi[..., : s + 1, :, :], phi[..., s + 1 :, :, :], blocks[..., -1, :, :])
+
+
+def one_step_operators(c, h, b_q, b_p, A, phi0, phi1, p_block):
     """The flat operators of the one-step map from its raw blocks.
 
     With nodes c and step h, the operators act on y = [q; p] (length 2d)
@@ -198,19 +247,19 @@ def one_step_operators(c, h, b_q, b_p, A, phi_stage, phi_main, p_block):
       propagator    (2d, 2d)    [[phi0(V), h phi1(V)], [p_block, phi0(V)]]
       force_matrix  (2d, s*d)   block column j: [h^2 b_q[j]; h b_p[j]]
 
-    from the weights b_q, b_p (..., s, d, d) and A (..., s, s, d, d), the
-    pairs phi_stage = (phi0, phi1)(c_i^2 V) (..., s, d, d) and phi_main =
-    (phi0, phi1)(V) (..., d, d), and p_block = -h M phi1(V) (..., d, d).  A
-    leading batch shape ... carries through.
+    from the weights b_q, b_p (..., s, d, d) and A (..., s, s, d, d), phi0
+    and phi1 at (c h)^2 M for c in (1, c_1, ..., c_s) (..., s + 1, d, d),
+    and p_block = -h M phi1(V) (..., d, d).  A leading batch shape ...
+    carries through.
     """
     batch, d = b_q.shape[:-3], b_q.shape[-1]
     sd, ch = len(c) * d, (c * h)[:, None, None]
-    predictor = np.concatenate((phi_stage[0], ch * phi_stage[1]), -1)
+    predictor = np.concatenate((phi0[..., 1:, :, :], ch * phi1[..., 1:, :, :]), -1)
     stage_matrix = ((ch * ch)[..., None] * A).swapaxes(-3, -2)
     # written in place: at d = 256 concatenating these costs 10 % of a table build
     propagator = np.empty(batch + (2, d, 2, d))
-    propagator[..., 0, :, 0, :] = propagator[..., 1, :, 1, :] = phi_main[0]
-    np.multiply(h, phi_main[1], out=propagator[..., 0, :, 1, :])
+    propagator[..., 0, :, 0, :] = propagator[..., 1, :, 1, :] = phi0[..., 0, :, :]
+    np.multiply(h, phi1[..., 0, :, :], out=propagator[..., 0, :, 1, :])
     propagator[..., 1, :, 0, :] = p_block
     force_matrix = np.empty(batch + (2, d, len(c), d))
     np.multiply(h * h, b_q.swapaxes(-3, -2), out=force_matrix[..., 0, :, :, :])
@@ -227,13 +276,11 @@ class CoefficientTable:
     one-step map is applied through the four flat operators that
     one_step_operators builds from them.  ``stage_offsets`` is the (s, 1)
     column c_i h, so a step from t evaluates its stage forces at the times
-    t + stage_offsets.  The phi pairs are init-only: phi_main = (phi0,
-    phi1)(V) enters only the propagator and phi_stage[i] = (phi0,
-    phi1)(c_i^2 V) only the predictor, and neither is kept.  So is p_block,
-    the propagator's -h M phi1(V) block, which each path forms its own way:
-    the series path as the product -h * (M @ phi1), the spectral path as
-    Q diag(-w sin(h w)) Q^T, whose round-off does not grow with ||M||.
-    Tables are immutable; reuse one per (nodes, M, h).
+    t + stage_offsets.  phi0 and phi1 at (c h)^2 M, c in (1, c_1, ...,
+    c_s), and p_block = -h M phi1(h^2 M) (on both paths the lift of the row
+    -w sin(h w), never a product with M) are init-only: they enter the
+    predictor and propagator and are not kept.  Tables are immutable; reuse
+    one per (nodes, M, h).
     """
 
     node_set: lg.NodeSet
@@ -243,8 +290,8 @@ class CoefficientTable:
     weights_q: np.ndarray
     weights_p: np.ndarray
     stage_weights: np.ndarray
-    phi_main: InitVar[PhiPair]
-    phi_stage: InitVar[tuple]
+    phi0: InitVar[np.ndarray]
+    phi1: InitVar[np.ndarray]
     p_block: InitVar[np.ndarray]
     predictor: np.ndarray = field(init=False)
     stage_matrix: np.ndarray = field(init=False)
@@ -252,13 +299,10 @@ class CoefficientTable:
     force_matrix: np.ndarray = field(init=False)
     stage_offsets: np.ndarray = field(init=False)
 
-    def __post_init__(self, phi_main, phi_stage, p_block):
+    def __post_init__(self, phi0, phi1, p_block):
         c, h = self.node_set.nodes, self.h
-        stage = np.array([[pair.phi0 for pair in phi_stage], [pair.phi1 for pair in phi_stage]])
-        operators = one_step_operators(
-            c, h, self.weights_q, self.weights_p, self.stage_weights,
-            stage, (phi_main.phi0, phi_main.phi1), p_block,
-        )
+        operators = one_step_operators(c, h, self.weights_q, self.weights_p, self.stage_weights,
+                                       phi0, phi1, p_block)
         for name, value in zip(("predictor", "stage_matrix", "propagator", "force_matrix"), operators):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "stage_offsets", (c * h)[:, None])
@@ -269,72 +313,22 @@ class CoefficientTable:
 
 
 def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) -> CoefficientTable:
-    """Assemble the table through the eigendecomposition of symmetric M."""
-    Q = sd.transform.T
-    x = h * sd.freqs
-    b_q, b_p, A = weights(ns, x)
-    # Q diag(w) Q^T for every weight row w, one stacked product per kind
-    weights_q, weights_p, stage = ((Q * w[..., None, :]) @ sd.transform for w in (b_q, b_p, A))
-    M = (Q * sd.freqs**2) @ sd.transform
-    phi_main = phi_pair_spectral(sd, h)
-    phi_stage = tuple(phi_pair_spectral(sd, ci * h) for ci in ns.nodes)
-    # -h M phi1(h^2 M) = Q diag(-w sin(h w)) Q^T
-    p_block = (Q * (-sd.freqs * np.sin(x))) @ sd.transform
-    return CoefficientTable(
-        node_set=ns, M=M, h=h, path="spectral",
-        weights_q=weights_q, weights_p=weights_p, stage_weights=stage,
-        phi_main=phi_main, phi_stage=phi_stage, p_block=p_block,
-    )
+    """Assemble the table through the eigendecomposition of symmetric M:
+    one lift of scalar_blocks' rows and of freqs^2, the row of M."""
+    blocks = lift(sd, np.concatenate((scalar_blocks(ns, h, sd.freqs), [sd.freqs**2])))
+    return CoefficientTable(ns, blocks[-1], h, "spectral", *unstack_blocks(ns, blocks[:-1]))
 
 
 def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTable:
-    """Assemble the table by matrix power series in V = h^2 M.
+    """Assemble the table by one power series in V = h^2 M over
+    _taylor_blocks' rows.
 
     Requires ||V||_inf within the series guard; works for any square M,
     symmetric or not.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"square matrix required, got shape {M.shape}")
-    V = h * h * M
-    norm_v = np.abs(V).sum(axis=1).max() if V.size else 0.0
-    if norm_v > SERIES_NORM_GUARD:
-        raise SeriesConvergenceError(
-            f"||h^2 M||_inf = {norm_v:.3g} exceeds the series guard "
-            f"{SERIES_NORM_GUARD}; reduce h"
-        )
-    s, d = ns.s, M.shape[0]
-    # rows of weights' stack; term l adds _series' coefficients times (-V)^l
-    out = np.zeros((s + 2, s, d, d))
-    term = np.eye(d)
-    below = 0
-    for l in range(SERIES_MAX_TERMS):
-        power = np.array([c ** (2 * l) for c in ns.scales])[:, None]
-        coef = np.concatenate((
-            power * ns.moment_table[:, :, 2 * l + 1] / _FACTORIALS[2 * l + 1],
-            ns.moment_table[:1, :, 2 * l] / _FACTORIALS[2 * l],
-        ))
-        added = coef[..., None, None] * term
-        out += added
-        scale = 1.0 + max(np.abs(out[0]).max(), np.abs(out[-1]).max())
-        if np.abs(added).max() < SERIES_REL_TOL * scale:
-            below += 1
-            if below >= 2:
-                break
-        else:
-            below = 0
-        term = term @ (-V)
-    else:
-        raise SeriesConvergenceError(
-            f"coefficient series did not converge within {SERIES_MAX_TERMS} terms"
-        )
-    phi_main = phi_pair_series(V)
-    phi_stage = tuple(phi_pair_series((ci * ci) * V) for ci in ns.nodes)
-    return CoefficientTable(
-        node_set=ns, M=M, h=h, path="series",
-        weights_q=out[0], weights_p=out[-1], stage_weights=out[1:-1],
-        phi_main=phi_main, phi_stage=phi_stage, p_block=-h * (M @ phi_main.phi1),
-    )
+    blocks = power_series(h * h * M, _taylor_blocks(ns, h))
+    return CoefficientTable(ns, M, h, "series", *unstack_blocks(ns, blocks))
 
 
 def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:

@@ -1,10 +1,11 @@
-"""Trigonometric matrix function pairs phi0, phi1.
+"""Matrix functions lifted from scalar rows, on two paths.
 
-phi0(A) = sum_{l>=0} (-A)^l / (2l)!   and   phi1(A) = sum_{l>=0} (-A)^l / (2l+1)!
-
-so that phi0(x**2) = cos(x) and phi1(x**2) = sin(x)/x.  Two evaluation
-paths are provided: a truncated power series for general square matrices
-and an eigendecomposition path for symmetric positive semi-definite ones.
+lift maps rows over the frequencies of symmetric PSD M to Q diag(row) Q^T
+in one stacked product; power_series maps rows of Taylor coefficients to
+sum_l coefs[r, l] (-A)^l, any square A, in one power ladder.  Their two-row
+cases are phi_pair_spectral and phi_pair_series, with phi0(A) = sum_l
+(-A)^l / (2l)! and phi1(A) = sum_l (-A)^l / (2l+1)!, so that phi0(x**2) =
+cos(x) and phi1(x**2) = sin(x)/x.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .errors import AsymmetricMatrixError, IndefiniteMatrixError, SeriesConverge
 # callers must reduce the step instead.
 SERIES_NORM_GUARD = 30.0
 
-SERIES_MAX_TERMS = 200
+# Term budget of every series; within the guard a phi series stops by its 21st term.
+SERIES_MAX_TERMS = 32
 
-# A phi series stops once its newest term is below this, relative to the sum.
-SERIES_TOL = 1e-14
+# A series stops at the second of two successive terms below this.
+SERIES_TOL = 1e-16
 
 # Relative tolerance of the one symmetry test that picks the coefficient path.
 SYMMETRY_TOL = 1e-12
@@ -31,13 +33,9 @@ SYMMETRY_TOL = 1e-12
 # Taylor switchover for sin(x)/x.
 _SINC_SWITCH = 1e-4
 
-
-@dataclass(frozen=True, eq=False)
-class PhiPair:
-    """phi0 and phi1 evaluated at the same matrix argument."""
-
-    phi0: np.ndarray
-    phi1: np.ndarray
+# 1/(2l)! and 1/(2l+1)!: the Taylor rows of phi0 and phi1.
+_PHI_COEFS = np.array([[1.0 / math.factorial(2 * l + k) for l in range(SERIES_MAX_TERMS)]
+                       for k in (0, 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +58,8 @@ def sinc(x):
     """sin(x)/x with a 4-term Taylor branch near zero (array-safe)."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SINC_SWITCH
+    if not small.any():
+        return np.sin(x) / x
     x_safe = np.where(small, 1.0, x)
     x2 = x * x
     taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
@@ -67,13 +67,20 @@ def sinc(x):
     return out[()] if out.ndim == 0 else out
 
 
-def phi_pair_series(A: np.ndarray) -> PhiPair:
-    """Evaluate (phi0(A), phi1(A)) by the shared alternating power ladder.
+def lift(sd: SpectralDecomposition, rows) -> np.ndarray:
+    """Q diag(row) Q^T for every row of a (..., d) stack, as (..., d, d).
 
-    Terms are added until the newest term's max-norm drops below
-    SERIES_TOL * (1 + running-sum norm) for both series.  Raises
-    SeriesConvergenceError if ||A||_inf exceeds SERIES_NORM_GUARD or the
-    term budget runs out.
+    One stacked product rounds as a 2-D product per row would.
+    """
+    return (sd.transform.T * np.asarray(rows)[..., None, :]) @ sd.transform
+
+
+def power_series(A: np.ndarray, coefs) -> np.ndarray:
+    """sum_l coefs[r, l] (-A)^l for every row r of an (R, L) table, as (R, d, d).
+
+    Stops at the second of two successive terms whose largest entry is below
+    SERIES_TOL.  Raises ValueError unless A is square, SeriesConvergenceError
+    if ||A||_inf exceeds SERIES_NORM_GUARD or the L terms run out first.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -84,22 +91,29 @@ def phi_pair_series(A: np.ndarray) -> PhiPair:
             f"||A||_inf = {norm_a:.3g} exceeds the series guard {SERIES_NORM_GUARD};"
             " reduce the step so that ||h^2 M||_inf stays within the guard"
         )
-    d = A.shape[0]
-    term = np.eye(d)
-    phi0 = term / math.factorial(0)
-    phi1 = term / math.factorial(1)
-    for l in range(1, SERIES_MAX_TERMS + 1):
-        term = term @ (-A)
-        t0 = term / math.factorial(2 * l)
-        t1 = term / math.factorial(2 * l + 1)
-        phi0 = phi0 + t0
-        phi1 = phi1 + t1
-        done0 = np.abs(t0).max() < SERIES_TOL * (1.0 + np.abs(phi0).max())
-        if done0 and np.abs(t1).max() < SERIES_TOL * (1.0 + np.abs(phi1).max()):
-            return PhiPair(phi0=phi0, phi1=phi1)
-    raise SeriesConvergenceError(
-        f"phi series did not converge within {SERIES_MAX_TERMS} terms"
-    )
+    out = np.zeros((len(coefs),) + A.shape)
+    term, below = np.eye(len(A)), 0
+    for l in range(coefs.shape[1]):
+        if l:
+            term = term @ (-A)
+        column = coefs[:, l]
+        out += column[:, None, None] * term
+        # max |coefs[r, l] term| over the stack, without scanning it
+        below = below + 1 if np.abs(column).max() * np.abs(term).max() < SERIES_TOL else 0
+        if below == 2:
+            return out
+    raise SeriesConvergenceError(f"power series did not converge within {coefs.shape[1]} terms")
+
+
+def phi_pair_series(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi0(A), phi1(A)) by power_series, for any square A within the guard."""
+    return tuple(power_series(A, _PHI_COEFS))
+
+
+def phi_pair_spectral(sd: SpectralDecomposition, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi0, phi1) of scale**2 * M by lift: cos and sinc of scale * freqs."""
+    x = scale * sd.freqs
+    return tuple(lift(sd, [np.cos(x), sinc(x)]))
 
 
 def is_symmetric(M: np.ndarray) -> bool:
@@ -130,15 +144,3 @@ def decompose_symmetric(M: np.ndarray) -> SpectralDecomposition:
         )
     w = np.clip(w, 0.0, None)
     return SpectralDecomposition(transform=Q.T.copy(), freqs=np.sqrt(w))
-
-
-def phi_pair_spectral(sd: SpectralDecomposition, scale: float) -> PhiPair:
-    """(phi0, phi1) of scale**2 * M assembled from the decomposition of M.
-
-    Diagonal entries are cos(scale * freq) and sinc(scale * freq).
-    """
-    Q = sd.transform.T
-    x = scale * sd.freqs
-    phi0 = (Q * np.cos(x)) @ sd.transform
-    phi1 = (Q * sinc(x)) @ sd.transform
-    return PhiPair(phi0=phi0, phi1=phi1)

@@ -9,7 +9,8 @@ At z = 0 S is the exact rotation R.  Symmetric nodes c_i = 1 - c_(s+1-i)
 give det S = 1 to round-off (Hairer, Lubich & Wanner, Geometric Numerical
 Integration, symmetric methods); Gauss-s, s <= 3, measures O(zeta^(2s+1)) in phase.
 
-A whole grid of V and z is evaluated at once: one coeffs.weights and one
+A whole grid of V and z is evaluated at once: one coeffs.scalar_blocks call
+(the rows a 1 x 1 table lifts, so S is that table's map bit for bit) and one
 one_step_operators call cover every V, and the stage systems N = I + z K(V)
 are solved as one stack with both columns of P as right-hand sides.  Points
 where N is numerically singular (condition number above 1e12) come back as
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lagrange as lg
-from .coeffs import one_step_operators, scalar_weight, weights  # noqa: F401 (perfbench/spans.py wraps it here)
+from .coeffs import one_step_operators, scalar_blocks, scalar_weight, unstack_blocks  # noqa: F401 (perfbench/spans.py wraps it here)
 from .errors import OutsidePeriodicityError, SingularStageSystemError
-from .matfun import sinc
 
 # |rho - 1| window of the periodicity flag; rho within it above 1 counts
 # as stable, so round-off on an exact rotation does not decide the flag.
@@ -75,6 +75,12 @@ def spectral_radius_2x2(trace, det):
     return out[()] if out.ndim == 0 else out
 
 
+def _discriminant(S: np.ndarray) -> np.ndarray:
+    """(a - d)^2 + 4bc for a stack of S = [[a, b], [c, d]]: tr^2 - 4 det in
+    exact arithmetic, without the cancellation of tr^2 against 4 det."""
+    return (S[..., 0, 0] - S[..., 1, 1]) ** 2 + 4.0 * S[..., 0, 1] * S[..., 1, 0]
+
+
 def _singular(N: np.ndarray) -> np.ndarray:
     """cond_2(N) > 1 / _SINGULAR_RCOND for a stack of (s, s) matrices.
 
@@ -100,17 +106,9 @@ def _stability_batch(ns: lg.NodeSet, vs: np.ndarray, zs: np.ndarray) -> np.ndarr
     if np.count_nonzero(vs >= 0.0) < vs.size:
         raise ValueError(f"V must be >= 0, got {vs.min()}")
     s = ns.s
-    lam = np.sqrt(vs)
-    b_q, b_p, A = weights(ns, lam)
-    # phi0 and phi1 at (c lam)^2 for c in ns.scales = (1, c_1, ..., c_s), as
-    # the 1 x 1 blocks of one_step_operators with V as the batch axis
-    cl = (lam[:, None] * ns.scales)[..., None, None]
-    phi0, phi1 = np.cos(cl), sinc(cl)
-    P, K, R, B = one_step_operators(
-        ns.nodes, 1.0, b_q.T[..., None, None], b_p.T[..., None, None],
-        A.transpose(2, 0, 1)[..., None, None], (phi0[:, 1:], phi1[:, 1:]),
-        (phi0[:, 0], phi1[:, 0]), -vs[:, None, None] * phi1[:, 0],
-    )
+    # the 1 x 1 table's rows at h = 1, with V as the batch axis
+    blocks = scalar_blocks(ns, 1.0, np.sqrt(vs)).T[..., None, None]
+    P, K, R, B = one_step_operators(ns.nodes, 1.0, *unstack_blocks(ns, blocks))
     N = np.eye(s) + zs[:, None, None] * K[:, None]
     singular = _singular(N.reshape(-1, s, s))
     if np.count_nonzero(singular):
@@ -165,7 +163,9 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
 
     Returns an array with columns (V, z, rho, trace, det, stable,
     periodic): stable is rho <= 1 + PERIODIC_RHO_TOL, periodic is
-    |rho - 1| <= PERIODIC_RHO_TOL with a complex eigenvalue pair.  Singular
+    |rho - 1| <= PERIODIC_RHO_TOL with a complex eigenvalue pair clear of
+    round-off, (a - d)^2 + 4bc < -PERIODIC_RHO_TOL for S = [[a, b], [c, d]]
+    (on V + z = 0, where S is a Jordan block, the sign is round-off).  Singular
     stage systems yield rho/trace/det = nan with both flags 0 instead of
     aborting the scan.  A window that check_scan_window rejects raises
     ValueError.
@@ -178,33 +178,32 @@ def scan_region(ns: lg.NodeSet, v_range, z_range, grid) -> np.ndarray:
     det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     rho = spectral_radius_2x2(tr, det)
     stable = rho <= 1.0 + PERIODIC_RHO_TOL
-    periodic = (np.abs(rho - 1.0) <= PERIODIC_RHO_TOL) & (tr * tr < 4.0 * det)
+    periodic = (np.abs(rho - 1.0) <= PERIODIC_RHO_TOL) & (_discriminant(S) < -PERIODIC_RHO_TOL)
     return np.column_stack(
         [np.repeat(vs, n_z), np.tile(zs, n_v), rho, tr, det, stable, periodic]
     )
 
 
 def dispersion_dissipation(ns: lg.NodeSet, V: float, z: float) -> tuple[float, float]:
-    """Phase error zeta - arccos(tr / (2 sqrt(det))), O(zeta^5) for Gauss-2,
-    and amplitude error 1 - sqrt(det), round-off for symmetric nodes, at
-    zeta = sqrt(V + z).
+    """Phase error zeta - theta, O(zeta^5) for Gauss-2, and amplitude error
+    1 - sqrt(det), round-off for symmetric nodes, at zeta = sqrt(V + z).
 
-    Requires finite V and z (else ValueError), V + z > 0 and a
-    periodic-regime S (det > 0 and |tr| <= 2 sqrt(det)); outside that an
-    OutsidePeriodicityError is raised.
+    theta = atan2(sqrt(-(a - d)^2 - 4bc), a + d), the eigenvalue angle of
+    S = [[a, b], [c, d]], has none of arccos(tr / (2 sqrt(det)))'s
+    cancellation at small zeta.  Requires finite V and z (else ValueError),
+    V + z > 0 and a periodic-regime S (det > 0, (a - d)^2 + 4bc <= 0), else
+    raises OutsidePeriodicityError.
     """
     _check_point(V, z)
     if V + z <= 0.0:
         raise OutsidePeriodicityError(f"V + z must be > 0, got {V + z:.6g}")
     sm = stability_matrix(ns, V, z)
-    tr, det = sm.trace, sm.det
+    det, disc = sm.det, float(_discriminant(sm.S))
     if det <= 0.0:
         raise OutsidePeriodicityError(f"det S = {det:.6g} <= 0 at (V, z)")
-    root = math.sqrt(det)
-    ratio = tr / (2.0 * root)
-    if abs(ratio) > 1.0:
+    if disc > 0.0:
         raise OutsidePeriodicityError(
-            f"|tr| / (2 sqrt(det)) = {abs(ratio):.6g} > 1: outside the periodicity regime"
+            f"(a - d)^2 + 4bc = {disc:.6g} > 0: real eigenvalues, outside the periodicity regime"
         )
     zeta = math.sqrt(V + z)
-    return zeta - math.acos(ratio), 1.0 - root
+    return zeta - math.atan2(math.sqrt(-disc), sm.trace), 1.0 - math.sqrt(det)

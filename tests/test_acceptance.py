@@ -241,16 +241,16 @@ def test_acceptance_7_dispersion_dissipation_constants(capsys):
     # kappa = 1/9720, as tests/make_phase_constant.py derives it
     kappa = 1.0 / 9720.0
     devs = []
-    for zeta in (0.16, 0.08, 0.04):
+    for zeta in (0.16, 0.08, 0.04, 0.02):
         h_sq = zeta**2 / 1.5
         phase, amp = st.dispersion_dissipation(G2, h_sq, 0.5 * h_sq)
         assert abs(amp) <= 1e-13
         devs.append((zeta, amp, abs(phase / zeta**5 - kappa) / kappa))
     for _, _, dev_phase in devs:
         assert dev_phase < 0.01
-    # refinement improves the phase ratio
+    # the deviation is O(zeta^2): at least 3x smaller per halving of zeta
     for k in range(len(devs) - 1):
-        assert devs[k + 1][2] < devs[k][2]
+        assert devs[k][2] >= 3.0 * devs[k + 1][2]
     _report(
         capsys, 7,
         "amplitude error and relative deviation of phase / zeta^5 from 1/9720: "

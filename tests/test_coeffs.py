@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from trigcolloc import coeffs as cf
 from trigcolloc import lagrange as lg
@@ -21,7 +22,6 @@ from oracles import defining_weight
 THREE_PATH_TOL = 1e-10
 FROZEN_TOL = 1e-11
 TABLEAU_TOL = 1e-14
-RNG_SEED = 424242
 
 S3_NODES = [0.2, 0.5, 0.9]
 
@@ -205,25 +205,90 @@ def test_zero_frequency_equals_gauss2_point_shorthand():
             assert abs(st - short) < TABLEAU_TOL
 
 
-def test_table_paths_agree_on_random_spd():
-    rng = np.random.default_rng(RNG_SEED)
-    ns = lg.gauss2()
-    d = 4
-    A = rng.standard_normal((d, d))
-    M = (A @ A.T) / d + 0.5 * np.eye(d)
-    h = 0.4
+def _nodes_or_reject(nodes):
+    # an int n stands for Gauss-n
+    if isinstance(nodes, int):
+        return lg.gauss_nodes(nodes)
+    try:
+        return lg.build_node_set(nodes)
+    except InvalidNodesError:
+        assume(False)  # nodes closer than MIN_NODE_GAP
+
+
+NODES = st.one_of(
+    st.integers(1, 4), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True)
+)
+
+
+def _random_spd(seed, eigenvalues):
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    M = (basis * eigenvalues) @ basis.T
+    return 0.5 * (M + M.T)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    nodes=NODES,
+    log_eigs=st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=6),
+    guard_share=st.floats(1e-4, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_paths_agree_on_random_spd(nodes, log_eigs, guard_share, seed):
+    # SPD M with eigenvalues in [1e-2, 1e4], h up to the series guard
+    # ||h^2 M||_inf <= 30: both paths give every array of the table
+    ns = _nodes_or_reject(nodes)
+    M = _random_spd(seed, 10.0 ** np.array(log_eigs))
+    h = math.sqrt(guard_share * mf.SERIES_NORM_GUARD / np.abs(M).sum(axis=1).max())
     spec_table = cf.build_table(ns, M, h, path="spectral")
     ser_table = cf.build_table(ns, M, h, path="series")
     assert spec_table.path == "spectral"
     assert ser_table.path == "series"
-    # the main phi pair sits in the propagator, the stage pairs in the predictor
     for name in (
-        "weights_q", "weights_p", "stage_weights", "force_matrix",
-        "propagator", "predictor",
+        "weights_q", "weights_p", "stage_weights", "predictor", "stage_matrix",
+        "propagator", "force_matrix",
     ):
         a = getattr(spec_table, name)
         b = getattr(ser_table, name)
-        assert np.abs(a - b).max() < 1e-12
+        assert np.abs(a - b).max() <= 1e-11 * max(1.0, np.abs(a).max())
+
+
+def _flow(M, h):
+    # the exact zero-force step on y = [q; p]: exp(h [[0, I], [-M, 0]])
+    d = len(M)
+    return expm(h * np.block([[np.zeros((d, d)), np.eye(d)], [-M, np.zeros((d, d))]]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    eigenvalues=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
+    h=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_propagator_is_the_exact_flow(eigenvalues, h, seed):
+    # the linear part is integrated exactly, h w up to 50
+    M = _random_spd(seed, np.array(eigenvalues))
+    P = cf.build_table(lg.gauss2(), M, h, path="spectral").propagator
+    E = _flow(M, h)
+    assert np.abs(P - E).max() <= 1e-11 * max(1.0, np.abs(E).max())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    log_eigs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+    guard_share=st.floats(1e-4, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_series_propagator_is_the_exact_flow(log_eigs, guard_share, seed):
+    # non-symmetric, real-diagonalizable M = T diag(lam) T^-1 inside the guard
+    d = len(log_eigs)
+    T = np.eye(d) + 0.3 * np.random.default_rng(seed).standard_normal((d, d))
+    assume(np.linalg.cond(T) < 1e3)
+    M = np.linalg.solve(T.T, (T * 10.0 ** np.array(log_eigs)).T).T
+    h = math.sqrt(guard_share * mf.SERIES_NORM_GUARD / np.abs(M).sum(axis=1).max())
+    P = cf.build_table(lg.gauss2(), M, h, path="series").propagator
+    E = _flow(M, h)
+    assert np.abs(P - E).max() <= 1e-12 * max(1.0, np.abs(E).max())
 
 
 def test_table_shapes_and_scalings():
@@ -251,11 +316,10 @@ def test_table_shapes_and_scalings():
         for j in range(2):
             want = (ci * h) ** 2 * table.stage_weights[i, j]
             assert np.abs(table.stage_matrix[blk(i), blk(j)] - want).max() == 0.0
-        pair = mf.phi_pair_spectral(sd, ci * h)
-        assert np.abs(table.predictor[blk(i), :d] - pair.phi0).max() == 0.0
-        assert np.abs(table.predictor[blk(i), d:] - ci * h * pair.phi1).max() == 0.0
-    main = mf.phi_pair_spectral(sd, h)
-    phi0, phi1 = main.phi0, main.phi1
+        phi0, phi1 = mf.phi_pair_spectral(sd, ci * h)
+        assert np.abs(table.predictor[blk(i), :d] - phi0).max() == 0.0
+        assert np.abs(table.predictor[blk(i), d:] - ci * h * phi1).max() == 0.0
+    phi0, phi1 = mf.phi_pair_spectral(sd, h)
     assert np.abs(table.propagator[:d, :d] - phi0).max() == 0.0
     assert np.abs(table.propagator[:d, d:] - h * phi1).max() == 0.0
     assert np.abs(table.propagator[d:, d:] - phi0).max() == 0.0

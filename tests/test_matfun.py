@@ -41,10 +41,10 @@ def test_sinc_accepts_arrays():
 
 def test_series_matches_cosine_on_scalar():
     for v in (0.0, 1e-8, 0.3, 4.0, 25.0):
-        pair = mf.phi_pair_series(np.array([[v]]))
+        phi0, phi1 = mf.phi_pair_series(np.array([[v]]))
         lam = math.sqrt(v)
-        assert abs(pair.phi0[0, 0] - math.cos(lam)) < AGREE_TOL
-        assert abs(pair.phi1[0, 0] - mf.sinc(lam)) < AGREE_TOL
+        assert abs(phi0[0, 0] - math.cos(lam)) < AGREE_TOL
+        assert abs(phi1[0, 0] - mf.sinc(lam)) < AGREE_TOL
 
 
 def test_series_vs_spectral_on_random_spd():
@@ -56,8 +56,8 @@ def test_series_vs_spectral_on_random_spd():
         for scale in (1.0, 0.5):
             a = mf.phi_pair_series(scale * scale * M)
             b = mf.phi_pair_spectral(sd, scale)
-            assert np.abs(a.phi0 - b.phi0).max() < AGREE_TOL
-            assert np.abs(a.phi1 - b.phi1).max() < AGREE_TOL
+            assert np.abs(a[0] - b[0]).max() < AGREE_TOL
+            assert np.abs(a[1] - b[1]).max() < AGREE_TOL
 
 
 def test_series_norm_guard():
@@ -104,9 +104,9 @@ def test_phi_identity_trig_pythags():
     rng = np.random.default_rng(RNG_SEED + 3)
     M = random_spd(rng, 4, scale=5.0)
     sd = mf.decompose_symmetric(M)
-    pair = mf.phi_pair_spectral(sd, 1.0)
-    c = sd.transform @ pair.phi0 @ sd.transform.T
-    s = sd.transform @ pair.phi1 @ sd.transform.T
+    phi0, phi1 = mf.phi_pair_spectral(sd, 1.0)
+    c = sd.transform @ phi0 @ sd.transform.T
+    s = sd.transform @ phi1 @ sd.transform.T
     lam = sd.freqs
     diag_c = np.diag(c)
     diag_s = np.diag(s) * lam

@@ -103,8 +103,34 @@ def test_scan_layout_and_flags():
     assert rows[rows[:, 1] == 0.0, 5].all()
     periodic = rows[finite, 6].astype(bool)
     near_one = np.abs(rows[finite, 2] - 1.0) <= st.PERIODIC_RHO_TOL
-    complex_pair = rows[finite, 3] ** 2 < 4.0 * rows[finite, 4]
-    assert np.array_equal(periodic, near_one & complex_pair)
+    # a complex pair clear of round-off: (a - d)^2 + 4bc < -tol for S = [[a, b], [c, d]]
+    S = np.array([st.stability_matrix(ns, V, z).S for V, z in rows[finite, :2]])
+    disc = (S[:, 0, 0] - S[:, 1, 1]) ** 2 + 4.0 * S[:, 0, 1] * S[:, 1, 0]
+    assert np.array_equal(periodic, near_one & (disc < -st.PERIODIC_RHO_TOL))
+
+
+@pytest.mark.parametrize("ns", [lg.gauss_nodes(2), lg.gauss_nodes(3)], ids=["gauss2", "gauss3"])
+def test_zero_frequency_diagonal_is_not_periodic(ns):
+    # on V + z = 0 the test equation is q'' = 0 and S is a Jordan block,
+    # whose tr^2 - 4 det is round-off of either sign
+    rows = st.scan_region(ns, (0.0, 100.0), (-5.0, 5.0), (201, 201))
+    diagonal = np.isclose(rows[:, 0] + rows[:, 1], 0.0, rtol=0.0, atol=1e-12)
+    assert np.count_nonzero(diagonal) == 11
+    assert not rows[diagonal, 6].any()
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 3, (0.1, 0.5, 0.9)])
+def test_stability_matrix_is_the_tables_map(nodes):
+    # S is the 1 x 1 table's one-step map at h = 1, bit for bit: the
+    # propagator at z = 0, and with the stage system solved elsewhere
+    ns = lg.gauss_nodes(nodes) if isinstance(nodes, int) else lg.build_node_set(nodes)
+    for V in np.linspace(0.0, 60.0, 31):
+        table = build_table(ns, np.array([[V]]), 1.0)
+        assert np.array_equal(st.stability_matrix(ns, V, 0.0).S, table.propagator)
+        for z in (-3.5, -0.7, 0.45, 2.0, 6.0):
+            N = np.eye(ns.s) + z * table.stage_matrix
+            want = table.propagator - z * (table.force_matrix @ np.linalg.solve(N, table.predictor))
+            assert np.array_equal(st.stability_matrix(ns, V, z).S, want)
 
 
 def _stage_coupling(ns, lam):
@@ -129,7 +155,7 @@ def _pointwise_row(ns, V, z):
     predictor = np.array([np.cos(c * lam), c * sinc(c * lam)]).T
     force = np.array([b_q, b_p])
     y = np.linalg.solve(N, predictor)
-    S = np.array([[phi0, phi1], [-V * phi1, phi0]]) - z * (force @ y)
+    S = np.array([[phi0, phi1], [-lam * math.sin(lam), phi0]]) - z * (force @ y)
     tr = S[0, 0] + S[1, 1]
     det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
     disc = tr * tr - 4.0 * det
@@ -138,7 +164,8 @@ def _pointwise_row(ns, V, z):
         rho = max(abs(tr + r), abs(tr - r)) / 2.0
     else:
         rho = math.sqrt(det)
-    periodic = abs(rho - 1.0) <= st.PERIODIC_RHO_TOL and tr * tr < 4.0 * det
+    disc = (S[0, 0] - S[1, 1]) ** 2 + 4.0 * S[0, 1] * S[1, 0]
+    periodic = abs(rho - 1.0) <= st.PERIODIC_RHO_TOL and disc < -st.PERIODIC_RHO_TOL
     stable = rho <= 1.0 + st.PERIODIC_RHO_TOL
     return [V, z, rho, tr, det, float(stable), float(periodic)]
 
@@ -223,15 +250,18 @@ def test_outside_periodicity_raises():
 
 def test_leading_error_constants():
     # the symmetric method does not dissipate (det S = 1 up to round-off),
-    # and its phase error is kappa(r) zeta^5 for frequency ratios on both
-    # sides of r = 0 (eps < 0 included); below zeta = 0.04 round-off in
-    # arccos takes over the ratio
+    # and its phase error is kappa(r) zeta^5 (1 + O(zeta^2)) for frequency
+    # ratios on both sides of r = 0 (eps < 0 included): the deviation from
+    # kappa shrinks about 4x per halving of zeta
     ns = lg.gauss2()
     for omega, eps in ((1.0, 0.5), (1.0, 2.0), (1.0, -0.5), (0.5, 3.0)):
-        for zeta in (0.16, 0.08, 0.04):
+        devs = []
+        for zeta in (0.16, 0.08, 0.04, 0.02):
             phase, amp = _errors_at(ns, omega, eps, zeta)
             assert abs(amp) <= 1e-13
-            assert abs(phase / zeta**5 / phase_constant(omega, eps) - 1.0) < 0.01
+            devs.append(abs(phase / zeta**5 / phase_constant(omega, eps) - 1.0))
+        assert max(devs) < 0.01
+        assert all(coarse >= 3.0 * fine for coarse, fine in zip(devs, devs[1:]))
 
 
 def test_small_angle_errors_vanish_at_high_order():
