@@ -89,12 +89,13 @@ def _config(manifest: RunManifest, h: float) -> SolverConfig:
     )
 
 
-def _write(out: str | None, text: str) -> None:
+def _write(out: str | None, pieces: list[str]) -> None:
+    """Stream the CSV pieces to out, or to stdout; they are never joined."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def cmd_solve(manifest: RunManifest) -> int:
@@ -108,19 +109,14 @@ def cmd_solve(manifest: RunManifest) -> int:
         cols.append("energy")
     if traj.invariant is not None:
         cols.append("invariant")
-    lines = [",".join(cols)]
-    iters = np.concatenate([[0], traj.iterations])
-    for row in range(len(traj.t)):
-        cells = [fmt(traj.t[row])]
-        cells += [fmt(v) for v in traj.q[row]]
-        cells += [fmt(v) for v in traj.p[row]]
-        cells.append(str(int(iters[row])))
-        if traj.energy is not None:
-            cells.append(fmt(traj.energy[row]))
-        if traj.invariant is not None:
-            cells.append(fmt(traj.invariant[row]))
-        lines.append(",".join(cells))
-    _write(manifest.out, "\n".join(lines) + "\n")
+    # one %-template per row over Python floats ("%d" prints the iteration
+    # count, exact as a float, as an integer; "%.16e" matches fmt)
+    columns = [traj.t[:, None], traj.q, traj.p, np.concatenate([[0], traj.iterations])[:, None]]
+    columns += [x[:, None] for x in (traj.energy, traj.invariant) if x is not None]
+    template = ",".join(["%.16e"] * (1 + 2 * d) + ["%d"] + ["%.16e"] * (len(columns) - 4)) + "\n"
+    pieces = [",".join(cols) + "\n"]
+    pieces += [template % tuple(row) for row in np.hstack(columns).tolist()]
+    _write(manifest.out, pieces)
     return EXIT_OK
 
 
@@ -131,9 +127,9 @@ def cmd_energy(manifest: RunManifest) -> int:
         raise TrigCollocError(f"problem {manifest.problem!r} defines no energy")
     traj = solve(ivp, _config(manifest, manifest.h), node_set=ns)
     drift = traj.energy_drift()
-    lines = ["t,energy_drift"]
-    lines += [f"{fmt(t)},{fmt(dr)}" for t, dr in zip(traj.t, drift)]
-    _write(manifest.out, "\n".join(lines) + "\n")
+    pieces = ["t,energy_drift\n"]
+    pieces += ["%.16e,%.16e\n" % row for row in zip(traj.t.tolist(), drift.tolist())]
+    _write(manifest.out, pieces)
     print(f"max energy drift: {fmt(drift.max())}", file=sys.stderr)
     return EXIT_OK
 
@@ -146,9 +142,9 @@ def cmd_convergence(manifest: RunManifest) -> int:
         spec.ivp, manifest.h_list, reference, _node_set(manifest),
         _config(manifest, max(manifest.h_list)),
     )
-    lines = ["h,global_error"]
-    lines += [f"{fmt(h)},{fmt(e)}" for h, e in zip(hs, errors)]
-    _write(manifest.out, "\n".join(lines) + "\n")
+    pieces = ["h,global_error\n"]
+    pieces += [f"{fmt(h)},{fmt(e)}\n" for h, e in zip(hs, errors)]
+    _write(manifest.out, pieces)
     slope, used = fit_order(hs, errors)
     if slope is None:
         print(
@@ -161,23 +157,44 @@ def cmd_convergence(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+# The stable and periodic flags of a stability row as one cell, at 2 * stable + periodic.
+_FLAG_CELLS = np.array([",0,0\n", ",0,1\n", ",1,0\n", ",1,1\n"], dtype=object)
+
+
+def _stability_csv(rows: np.ndarray, n_z: int) -> list[str]:
+    """scan_region's rows (z running fastest) as CSV pieces: the header,
+    then one string per V row.
+
+    rho and det repeat across a scan (det S = 1 to round-off for symmetric
+    nodes), so each distinct value is formatted once.  Values are told apart
+    by bit pattern, so -0.0 and 0.0 stay distinct and NaN matches itself.
+    Each V row's cells are joined into one %-template, in which trace, a
+    value that rarely repeats, stays "%.16e"; one format call fills it.
+    No formatted number holds a "%".
+    """
+    n_v = len(rows) // n_z
+    bits, inverse = np.unique(rows[:, [2, 4]].view(np.int64), return_inverse=True)
+    distinct = ("%.16e," * bits.size % tuple(bits.view(np.float64).tolist())).split(",")
+    # per point: V, ",z,", rho, ",trace,", det and the flags
+    cells = np.empty((n_v, n_z, 6), dtype=object)
+    cells[..., 0] = np.array([fmt(v) for v in rows[::n_z, 0].tolist()], dtype=object)[:, None]
+    cells[..., 1] = np.array([f",{fmt(z)}," for z in rows[:n_z, 1].tolist()], dtype=object)
+    # inverse has the input's shape on some numpy 2.0 releases, not others
+    cells[..., 2::2] = np.array(distinct, dtype=object)[inverse.reshape(n_v, n_z, 2)]
+    cells[..., 3] = ",%.16e,"
+    cells[..., 5] = _FLAG_CELLS[(2 * rows[:, 5] + rows[:, 6]).astype(np.intp)].reshape(n_v, n_z)
+    trace = rows[:, 3].reshape(n_v, n_z)
+    return ["V,z,rho,trace,det,stable,periodic\n"] + [
+        "".join(cells[i].ravel().tolist()) % tuple(trace[i].tolist()) for i in range(n_v)
+    ]
+
+
 def cmd_stability(manifest: RunManifest) -> int:
     ns = _node_set(manifest)
     rows = scan_region(ns, manifest.v_range, manifest.z_range, manifest.grid)
-    n_z = manifest.grid[1]
-    # Rows run over z within each V.  The z cells are the same in every V
-    # row, so they are baked once into %-templates ("%d" prints the 0.0/1.0
-    # flags as 0/1, and "%.16e" matches fmt); each V row is then one
-    # format call over that row's values, converted to Python floats.
-    z_pieces = [
-        f",{fmt(z)},%.16e,%.16e,%.16e,%d,%d\n" for z in rows[:n_z, 1].tolist()
-    ]
-    parts = ["V,z,rho,trace,det,stable,periodic\n"]
-    for start in range(0, len(rows), n_z):
-        v_cell = fmt(float(rows[start, 0]))
-        template = v_cell + v_cell.join(z_pieces)
-        parts.append(template % tuple(rows[start:start + n_z, 2:].ravel().tolist()))
-    _write(manifest.out, "".join(parts))
+    # the per-cell arrays are freed when _stability_csv returns, before the
+    # pieces are streamed; the CSV is never held as one joined string
+    _write(manifest.out, _stability_csv(rows, manifest.grid[1]))
     return EXIT_OK
 
 
@@ -188,7 +205,7 @@ def cmd_coeffs(manifest: RunManifest) -> int:
     else:
         M = build_problem(manifest.problem, **manifest.overrides).ivp.M
     table = build_table(ns, M, manifest.h, path=manifest.path)
-    lines = ["kind,i,j,index1,index2,value,oracle,abs_err"]
+    pieces = ["kind,i,j,index1,index2,value,oracle,abs_err\n"]
     kinds = [
         (WeightKind.Q, table.weights_q, False),
         (WeightKind.P, table.weights_p, False),
@@ -202,9 +219,9 @@ def cmd_coeffs(manifest: RunManifest) -> int:
                 for j in range(ns.s):
                     value = arr[i, j, 0, 0] if staged else arr[j, 0, 0]
                     oracle = quadrature_weight(ns, kind, j, v, i)
-                    lines.append(
+                    pieces.append(
                         f"{kind.value},{'' if i is None else i},{j},0,,"
-                        f"{fmt(value)},{fmt(oracle)},{fmt(abs(value - oracle))}"
+                        f"{fmt(value)},{fmt(oracle)},{fmt(abs(value - oracle))}\n"
                     )
     else:
         for kind, arr, staged in kinds:
@@ -213,11 +230,11 @@ def cmd_coeffs(manifest: RunManifest) -> int:
                     mat = arr[i, j] if staged else arr[j]
                     for r in range(mat.shape[0]):
                         for cidx in range(mat.shape[1]):
-                            lines.append(
+                            pieces.append(
                                 f"{kind.value},{'' if i is None else i},{j},"
-                                f"{r},{cidx},{fmt(mat[r, cidx])},,"
+                                f"{r},{cidx},{fmt(mat[r, cidx])},,\n"
                             )
-    _write(manifest.out, "\n".join(lines) + "\n")
+    _write(manifest.out, pieces)
     return EXIT_OK
 
 

@@ -225,15 +225,22 @@ def _taylor_blocks(ns: lg.NodeSet, h: float) -> np.ndarray:
     return np.concatenate((qs.reshape(-1, SERIES_MAX_TERMS), p, power / even, power / odd, [p_block]))
 
 
+def _weight_views(ns: lg.NodeSet, w: np.ndarray) -> tuple:
+    """(b_q, b_p, A) as views of a stack of scalar_blocks' first (s + 2) s rows."""
+    w = w.reshape(w.shape[:-3] + (ns.s + 2, ns.s) + w.shape[-2:])
+    return w[..., 0, :, :, :], w[..., -1, :, :, :], w[..., 1:-1, :, :, :]
+
+
+def _phi_views(ns: lg.NodeSet, phi: np.ndarray) -> tuple:
+    """(phi0, phi1, p_block) as views of a stack of scalar_blocks' other rows."""
+    return phi[..., : ns.s + 1, :, :], phi[..., ns.s + 1 : -1, :, :], phi[..., -1, :, :]
+
+
 def unstack_blocks(ns: lg.NodeSet, blocks: np.ndarray) -> tuple:
     """(b_q, b_p, A, phi0, phi1, p_block), in CoefficientTable's field order,
     as views of a stack of d x d blocks whose axis -3 runs over scalar_blocks' rows."""
-    s = ns.s
-    w = blocks[..., : (s + 2) * s, :, :]
-    w = w.reshape(w.shape[:-3] + (s + 2, s) + w.shape[-2:])
-    phi = blocks[..., (s + 2) * s : -1, :, :]
-    return (w[..., 0, :, :, :], w[..., -1, :, :, :], w[..., 1:-1, :, :, :],
-            phi[..., : s + 1, :, :], phi[..., s + 1 :, :, :], blocks[..., -1, :, :])
+    n_w = (ns.s + 2) * ns.s
+    return _weight_views(ns, blocks[..., :n_w, :, :]) + _phi_views(ns, blocks[..., n_w:, :, :])
 
 
 def one_step_operators(c, h, b_q, b_p, A, phi0, phi1, p_block):
@@ -314,9 +321,16 @@ class CoefficientTable:
 
 def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) -> CoefficientTable:
     """Assemble the table through the eigendecomposition of symmetric M:
-    one lift of scalar_blocks' rows and of freqs^2, the row of M."""
-    blocks = lift(sd, np.concatenate((scalar_blocks(ns, h, sd.freqs), [sd.freqs**2])))
-    return CoefficientTable(ns, blocks[-1], h, "spectral", *unstack_blocks(ns, blocks[:-1]))
+    one lift of scalar_blocks' rows and of freqs^2, the row of M.
+
+    The lift runs as two stacks, which round alike: the weights and M, which
+    the table keeps, and the phi and p-block rows, which only its operators
+    read, so that stack is freed once they are built.
+    """
+    rows, n_w = scalar_blocks(ns, h, sd.freqs), (ns.s + 2) * ns.s
+    kept = lift(sd, np.concatenate((rows[:n_w], [sd.freqs**2])))
+    return CoefficientTable(ns, kept[-1], h, "spectral", *_weight_views(ns, kept[:-1]),
+                            *_phi_views(ns, lift(sd, rows[n_w:])))
 
 
 def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTable:
@@ -324,11 +338,13 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
     _taylor_blocks' rows.
 
     Requires ||V||_inf within the series guard; works for any square M,
-    symmetric or not.
+    symmetric or not.  The weights are copied out of the series' stack, so
+    the table does not keep its phi and p-block rows alive.
     """
     M = np.asarray(M, dtype=float)
-    blocks = power_series(h * h * M, _taylor_blocks(ns, h))
-    return CoefficientTable(ns, M, h, "series", *unstack_blocks(ns, blocks))
+    blocks, n_w = power_series(h * h * M, _taylor_blocks(ns, h)), (ns.s + 2) * ns.s
+    return CoefficientTable(ns, M, h, "series", *_weight_views(ns, blocks[:n_w].copy()),
+                            *_phi_views(ns, blocks[n_w:]))
 
 
 def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:

@@ -187,11 +187,55 @@ def test_stability_csv_matches_per_cell_formatting(tmp_path):
     ]) == cli.EXIT_OK
     rows = cli.scan_region(lg.build_node_set([0.5]), (0.0, 10.0), (-8.0, 0.0), (11, 9))
     assert np.isnan(rows[:, 2]).sum() == 1
+    assert out.read_text() == per_cell_stability_csv(rows)
+
+
+def per_cell_stability_csv(rows):
+    """The stability CSV formatted one cell at a time: the reference."""
     want = ["V,z,rho,trace,det,stable,periodic"] + [
         ",".join([cli.fmt(r[k]) for k in range(5)] + [str(int(r[5])), str(int(r[6]))])
         for r in rows
     ]
-    assert out.read_text() == "\n".join(want) + "\n"
+    return "\n".join(want) + "\n"
+
+
+def test_stability_csv_writer_on_crafted_rows():
+    # rho holds +0.0 and -0.0 (one value under ==, two bit patterns), NaNs
+    # of both signs and +-inf; rho and det repeat, and all four flag pairs occur
+    n_v, n_z = 3, 4
+    V, z = np.meshgrid([0.0, 2.5, 1e300], [-1.0, -0.0, 0.0, 3.0], indexing="ij")
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 0.0, -0.0, 1.0, 5e-324, 1.0]
+    rows = np.column_stack([
+        V.ravel(), z.ravel(),
+        special,
+        np.linspace(-2.0, 2.0, n_v * n_z),
+        special[::-1],
+        [0, 0, 1, 1] * n_v,
+        [0, 1, 0, 1] * n_v,
+    ])
+    assert np.signbit(rows[:, 2]).any() and not np.signbit(rows[:, 2]).all()
+    got = "".join(cli._stability_csv(rows, n_z))
+    assert got == per_cell_stability_csv(rows)
+    assert got.count(",-0.0000000000000000e+00,") >= 2
+    assert ",nan," in got and ",-inf," in got
+
+
+def test_stability_csv_of_a_gauss2_window_matches_per_cell_formatting(tmp_path):
+    # Gauss-2 is symmetric: det S is 1 to round-off, so det repeats
+    out = tmp_path / "s.csv"
+    assert run(["stability", "--grid=41x41", "--out", str(out)]) == cli.EXIT_OK
+    rows = cli.scan_region(lg.gauss2(), (0.0, 100.0), (-5.0, 5.0), (41, 41))
+    assert len(np.unique(rows[:, 4])) < len(rows) // 10
+    assert out.read_text() == per_cell_stability_csv(rows)
+
+
+def test_stability_to_stdout_writes_the_bytes_of_out(tmp_path, capsys):
+    args = ["stability", "--nodes=0.2,0.7", "--v-range=0,30", "--z-range=-3,3", "--grid=21x17"]
+    out = tmp_path / "s.csv"
+    assert run(args + ["--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert run(args) == cli.EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -327,6 +327,20 @@ def test_table_shapes_and_scalings():
     assert np.abs(table.propagator[d:, :d] - p_lin).max() < 1e-14
 
 
+@pytest.mark.parametrize("path", ["spectral", "series"])
+@pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7], [0.1, 0.5, 0.9]])
+def test_table_keeps_no_phi_or_p_block_rows_alive(path, nodes):
+    # the weights and M own at most the (s + 2) s weight blocks and M's own
+    # block: the phi and p-block rows of the lifted stack are freed
+    ns = lg.build_node_set(nodes)
+    d = 4
+    M = np.diag([1.0, 4.0, 9.0, 16.0]) + 0.1
+    table = cf.build_table(ns, M, 0.2, path=path)
+    for arr in (table.weights_q, table.weights_p, table.stage_weights, table.M):
+        owner = arr if arr.base is None else arr.base
+        assert owner.size <= ((ns.s + 2) * ns.s + 1) * d * d
+
+
 def test_table_diagonal_matches_scalar_kernels():
     ns = lg.gauss2()
     omega = 3.0
