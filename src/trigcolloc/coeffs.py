@@ -37,7 +37,8 @@ A table's blocks (weights, phi0 and phi1 at each scale, the p-block) are
 defined once, as scalar rows over the frequencies (scalar_blocks), and lifted
 once per path: one matfun.lift (spectral), or one matfun.power_series over
 their Taylor coefficients (_taylor_blocks, series).  The stability analysis
-reads the same rows at d = 1.
+reads the same rows at d = 1.  A table keeps the weights but not the phi and
+p-block rows, which only its operators read.
 """
 
 from __future__ import annotations
@@ -342,9 +343,8 @@ def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTa
     the table does not keep its phi and p-block rows alive.
     """
     M = np.asarray(M, dtype=float)
-    blocks, n_w = power_series(h * h * M, _taylor_blocks(ns, h)), (ns.s + 2) * ns.s
-    return CoefficientTable(ns, M, h, "series", *_weight_views(ns, blocks[:n_w].copy()),
-                            *_phi_views(ns, blocks[n_w:]))
+    b_q, b_p, A, *phis = unstack_blocks(ns, power_series(h * h * M, _taylor_blocks(ns, h)))
+    return CoefficientTable(ns, M, h, "series", b_q.copy(), b_p.copy(), A.copy(), *phis)
 
 
 def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:
