@@ -4,6 +4,12 @@ All numeric output is CSV with 17-significant-digit scientific notation,
 so identical runs produce byte-identical files.  Exit codes: 0 success,
 2 usage or validation error, 3 solver failure (stage iteration did not
 converge).
+
+The parser is the one place where a flag is read: it refuses bad flag
+syntax and non-finite numbers, naming the flag, before any work.  Defaults
+are RunManifest's, and range rules are the library's own (node sets,
+t_end, the step, tol, max_iter, problem sizes, scan windows): a broken one
+is reported as ``error: ...`` with exit 2.
 """
 
 from __future__ import annotations
@@ -11,20 +17,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lagrange as lg
-from .coeffs import (
-    WeightKind,
-    build_table,
-    quadrature_weight,
-)
+from .coeffs import WeightKind, build_table, quadrature_weight
 from .errors import StageIterationError, TrigCollocError
-from .integrator import ERROR_FLOOR, SolverConfig, endpoint_errors, fit_order, solve
+from .integrator import (DEFAULT_MAX_ITER, DEFAULT_TOL, ERROR_FLOOR, SolverConfig,
+                         endpoint_errors, fit_order, solve)
 from .problems import PROBLEMS, ProblemSpec, build_problem
-from .stability import check_scan_window, scan_region
+from .stability import scan_region
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,17 +41,22 @@ def fmt(x: float) -> str:
 
 @dataclass
 class RunManifest:
-    """Everything a command needs; identical manifests give identical bytes."""
+    """Everything a command needs; identical manifests give identical bytes.
+
+    One field per parser dest; a flag left out, or one its command lacks,
+    keeps the field's default.
+    """
 
     command: str
     problem: str | None = None
-    overrides: dict = field(default_factory=dict)
+    omega: float | None = None
+    n: int | None = None
     nodes: tuple = ()
     h: float | None = None
     h_list: tuple = ()
     t_end: float | None = None
-    tol: float = 1e-14
-    max_iter: int = 50
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     iteration_mode: str = "tolerance"
     zero_force: bool = False
     m_scalar: float | None = None
@@ -58,6 +66,11 @@ class RunManifest:
     grid: tuple = (201, 201)
     out: str | None = None
 
+    @property
+    def overrides(self) -> dict:
+        """The problem-size overrides given, as build_problem keywords."""
+        return {k: v for k, v in (("omega", self.omega), ("n", self.n)) if v is not None}
+
 
 def _node_set(manifest: RunManifest) -> lg.NodeSet:
     if manifest.nodes:
@@ -66,11 +79,11 @@ def _node_set(manifest: RunManifest) -> lg.NodeSet:
 
 
 def _problem(manifest: RunManifest) -> ProblemSpec:
-    """The registered problem with the manifest's t_end and force applied."""
-    spec = build_problem(manifest.problem, **manifest.overrides)
+    """The registered problem, built with the manifest's overrides and
+    t_end, and with the force dropped under --zero-force."""
+    t_end = {} if manifest.t_end is None else {"t_end": manifest.t_end}
+    spec = build_problem(manifest.problem, **manifest.overrides, **t_end)
     ivp = spec.ivp
-    if manifest.t_end is not None:
-        ivp.t_end = manifest.t_end
     if manifest.zero_force:
         M = ivp.M
         # Row-wise, so they serve a vectorized IVP as well as a per-row one;
@@ -81,12 +94,8 @@ def _problem(manifest: RunManifest) -> ProblemSpec:
 
 
 def _config(manifest: RunManifest, h: float) -> SolverConfig:
-    return SolverConfig(
-        h=h,
-        tol=manifest.tol,
-        max_iter=manifest.max_iter,
-        iteration_mode=manifest.iteration_mode,
-    )
+    return SolverConfig(h=h, tol=manifest.tol, max_iter=manifest.max_iter,
+                        iteration_mode=manifest.iteration_mode)
 
 
 def _write(out: str | None, pieces: list[str]) -> None:
@@ -203,61 +212,92 @@ def cmd_coeffs(manifest: RunManifest) -> int:
     if manifest.m_scalar is not None:
         M = np.array([[manifest.m_scalar]])
     else:
-        M = build_problem(manifest.problem, **manifest.overrides).ivp.M
+        M = _problem(manifest).ivp.M
     table = build_table(ns, M, manifest.h, path=manifest.path)
+    # scalar M on the spectral path: weights are plain kernel values, compared
+    # to quadrature in the last two cells (index2 stays empty)
+    with_oracle = table.path == "spectral" and table.dim == 1
+    v = manifest.h**2 * M[0, 0]
     pieces = ["kind,i,j,index1,index2,value,oracle,abs_err\n"]
     kinds = [
         (WeightKind.Q, table.weights_q, False),
         (WeightKind.P, table.weights_p, False),
         (WeightKind.STAGE, table.stage_weights, True),
     ]
-    if table.path == "spectral" and table.dim == 1:
-        # scalar M: weights are plain kernel values, compare to quadrature
-        v = manifest.h**2 * M[0, 0]
-        for kind, arr, staged in kinds:
-            for i in range(ns.s) if staged else [None]:
-                for j in range(ns.s):
-                    value = arr[i, j, 0, 0] if staged else arr[j, 0, 0]
-                    oracle = quadrature_weight(ns, kind, j, v, i)
-                    pieces.append(
-                        f"{kind.value},{'' if i is None else i},{j},0,,"
-                        f"{fmt(value)},{fmt(oracle)},{fmt(abs(value - oracle))}\n"
-                    )
-    else:
-        for kind, arr, staged in kinds:
-            for i in range(ns.s) if staged else [None]:
-                for j in range(ns.s):
-                    mat = arr[i, j] if staged else arr[j]
-                    for r in range(mat.shape[0]):
-                        for cidx in range(mat.shape[1]):
-                            pieces.append(
-                                f"{kind.value},{'' if i is None else i},{j},"
-                                f"{r},{cidx},{fmt(mat[r, cidx])},,\n"
-                            )
+    for kind, arr, staged in kinds:
+        for i in range(ns.s) if staged else [None]:
+            for j in range(ns.s):
+                mat = arr[i, j] if staged else arr[j]
+                for r, col in np.ndindex(mat.shape):
+                    cells = f"{kind.value},{'' if i is None else i},{j},{r},"
+                    value = mat[r, col]
+                    if with_oracle:
+                        oracle = quadrature_weight(ns, kind, j, v, i)
+                        cells += f",{fmt(value)},{fmt(oracle)},{fmt(abs(value - oracle))}\n"
+                    else:
+                        cells += f"{col},{fmt(value)},,\n"
+                    pieces.append(cells)
     _write(manifest.out, pieces)
     return EXIT_OK
 
 
+def _number(text: str) -> float:
+    """type= of one finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _numbers(least: int, most: float, form: str):
+    """type= of least..most comma-separated finite numbers, as a tuple."""
+
+    def convert(text: str) -> tuple:
+        values = tuple(map(_number, text.split(",")))
+        if not least <= len(values) <= most:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return values
+
+    return convert
+
+
+def _grid(text: str) -> tuple:
+    """type= of an 'NVxNZ' pair of integers."""
+    try:
+        n_v, n_z = map(int, text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be 'NVxNZ' with two integers, got {text!r}"
+        ) from None
+    return n_v, n_z
+
+
 def _add_common(p: argparse.ArgumentParser, need_h: bool = False) -> None:
-    p.add_argument("--nodes", type=str, default=None,
+    p.add_argument("--nodes", type=_numbers(1, math.inf, "nodes"),
                    help="comma-separated collocation nodes in [0,1] (default Gauss-2)")
-    p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
+    p.add_argument("--out", help="output CSV path (default stdout)")
     if need_h:
-        p.add_argument("--h", type=float, required=True, help="step size")
+        p.add_argument("--h", type=_number, required=True, help="step size")
+
+
+def _add_overrides(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--omega", type=_number, help="frequency override (fpu)")
+    p.add_argument("--n", type=int, help="grid size override (klein-gordon, wave)")
 
 
 def _add_problem(p: argparse.ArgumentParser) -> None:
     """Problem and stage-iteration flags of the commands that integrate."""
     p.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
-    p.add_argument("--omega", type=float, default=None, help="frequency override (fpu)")
-    p.add_argument("--n", type=int, default=None, help="grid size override (klein-gordon, wave)")
-    p.add_argument("--t-end", type=float, default=None)
+    _add_overrides(p)
+    p.add_argument("--t-end", type=_number)
     p.add_argument("--zero-force", action="store_true",
                    help="replace the force with 0 (linear variant)")
-    p.add_argument("--tol", type=float, default=1e-14)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--iteration-mode", choices=("tolerance", "fixed"),
-                   default="tolerance")
+    p.add_argument("--tol", type=_number)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--iteration-mode", choices=("tolerance", "fixed"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,97 +307,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="integrate a registered problem")
+    def add_command(name: str, summary: str) -> argparse.ArgumentParser:
+        # a flag left out sets no attribute, so RunManifest holds every default
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
+    p_solve = add_command("solve", "integrate a registered problem")
     _add_problem(p_solve)
     _add_common(p_solve, need_h=True)
 
-    p_conv = sub.add_parser("convergence", help="global error vs step size")
+    p_conv = add_command("convergence", "global error vs step size")
     _add_problem(p_conv)
     _add_common(p_conv)
-    p_conv.add_argument("--h-list", type=str, required=True,
-                        help="comma-separated step sizes (need at least 3)")
+    p_conv.add_argument("--h-list", type=_numbers(3, math.inf, "at least 3 step sizes"),
+                        required=True, help="comma-separated step sizes (need at least 3)")
 
-    p_energy = sub.add_parser("energy", help="energy drift along a trajectory")
+    p_energy = add_command("energy", "energy drift along a trajectory")
     _add_problem(p_energy)
     _add_common(p_energy, need_h=True)
 
-    p_stab = sub.add_parser("stability", help="scan the (V, z) stability region")
-    p_stab.add_argument("--v-range", type=str, default="0,100")
-    p_stab.add_argument("--z-range", type=str, default="-5,5")
-    p_stab.add_argument("--grid", type=str, default="201x201")
+    p_stab = add_command("stability", "scan the (V, z) stability region")
+    p_stab.add_argument("--v-range", type=_numbers(2, 2, "'lo,hi'"))
+    p_stab.add_argument("--z-range", type=_numbers(2, 2, "'lo,hi'"))
+    p_stab.add_argument("--grid", type=_grid)
     _add_common(p_stab)
 
-    p_coeffs = sub.add_parser("coeffs", help="dump a coefficient table as CSV")
-    p_coeffs.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
-    p_coeffs.add_argument("--omega", type=float, default=None)
-    p_coeffs.add_argument("--n", type=int, default=None)
-    p_coeffs.add_argument("--m-scalar", type=float, default=None,
-                          help="use the 1x1 matrix [m] instead of a problem")
-    p_coeffs.add_argument("--path", choices=("auto", "spectral", "series"),
-                          default="auto")
+    p_coeffs = add_command("coeffs", "dump a coefficient table as CSV")
+    source = p_coeffs.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", choices=sorted(PROBLEMS))
+    source.add_argument("--m-scalar", type=_number,
+                        help="use the 1x1 matrix [m] instead of a problem")
+    _add_overrides(p_coeffs)
+    p_coeffs.add_argument("--path", choices=("auto", "spectral", "series"))
     _add_common(p_coeffs, need_h=True)
     return parser
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if getattr(args, "omega", None) is not None:
-        out["omega"] = args.omega
-    if getattr(args, "n", None) is not None:
-        out["n"] = args.n
-    return out
-
-
-def _parse_pair(text: str, name: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must be 'lo,hi', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_grid(text: str):
-    try:
-        n_v, n_z = map(int, text.split("x"))
-    except ValueError:
-        raise ValueError(f"--grid must be 'NVxNZ' with two integers, got {text!r}") from None
-    return n_v, n_z
-
-
 def manifest_from_args(args) -> RunManifest:
-    nodes = ()
-    if getattr(args, "nodes", None):
-        nodes = tuple(float(v) for v in args.nodes.split(","))
-    manifest = RunManifest(
-        command=args.command,
-        problem=getattr(args, "problem", None),
-        overrides=_overrides(args),
-        nodes=nodes,
-        h=getattr(args, "h", None),
-        t_end=getattr(args, "t_end", None),
-        tol=getattr(args, "tol", RunManifest.tol),
-        max_iter=getattr(args, "max_iter", RunManifest.max_iter),
-        iteration_mode=getattr(args, "iteration_mode", RunManifest.iteration_mode),
-        zero_force=getattr(args, "zero_force", False),
-        m_scalar=getattr(args, "m_scalar", None),
-        path=getattr(args, "path", "auto"),
-        out=args.out,
-    )
-    if args.command == "convergence":
-        h_list = tuple(float(v) for v in args.h_list.split(","))
-        if len(h_list) < 3:
-            raise ValueError(f"need at least 3 step sizes, got {len(h_list)}")
-        manifest.h_list = h_list
-    for flag, values in (("--h", [manifest.h]), ("--m-scalar", [manifest.m_scalar]),
-                         ("--h-list", manifest.h_list)):
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise ValueError(f"{flag} must be finite, got {values}")
-    if args.command == "stability":
-        manifest.v_range, manifest.z_range, manifest.grid = check_scan_window(
-            _parse_pair(args.v_range, "--v-range"),
-            _parse_pair(args.z_range, "--z-range"),
-            _parse_grid(args.grid),
-        )
-    return manifest
+    return RunManifest(**vars(args))
 
 
 _DISPATCH = {
@@ -371,24 +357,18 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "coeffs" and (args.problem is None) == (args.m_scalar is None):
-        parser.error("coeffs needs exactly one of --problem or --m-scalar")
+    manifest = manifest_from_args(parser.parse_args(argv))
     try:
-        manifest = manifest_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return _DISPATCH[args.command](manifest)
+        return _DISPATCH[manifest.command](manifest)
     except StageIterationError as exc:
-        print(
-            f"solver failed at step {exc.step_index}: {exc} ",
-            file=sys.stderr,
-        )
+        print(f"solver failed at step {exc.step_index}: {exc} ", file=sys.stderr)
         return EXIT_SOLVER
     except TrigCollocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:
+        # a range rule of the library; each command writes only once its work is done
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -335,16 +335,18 @@ def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) ->
 
 
 def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTable:
-    """Assemble the table by one power series in V = h^2 M over
-    _taylor_blocks' rows.
+    """Assemble the table by power series in V = h^2 M over _taylor_blocks' rows.
 
     Requires ||V||_inf within the series guard; works for any square M,
-    symmetric or not.  The weights are copied out of the series' stack, so
-    the table does not keep its phi and p-block rows alive.
+    symmetric or not.  As on the spectral path the series runs as two
+    stacks: the weights, which the table keeps, and the phi and p-block
+    rows, which only its operators read, so that stack is freed once they
+    are built.
     """
     M = np.asarray(M, dtype=float)
-    b_q, b_p, A, *phis = unstack_blocks(ns, power_series(h * h * M, _taylor_blocks(ns, h)))
-    return CoefficientTable(ns, M, h, "series", b_q.copy(), b_p.copy(), A.copy(), *phis)
+    V, rows, n_w = h * h * M, _taylor_blocks(ns, h), (ns.s + 2) * ns.s
+    return CoefficientTable(ns, M, h, "series", *_weight_views(ns, power_series(V, rows[:n_w])),
+                            *_phi_views(ns, power_series(V, rows[n_w:])))
 
 
 def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:

@@ -128,8 +128,8 @@ class OscillatoryIVP:
             raise ValueError(f"M must be {d}x{d}, got {self.M.shape}")
         if self.p0.size != d:
             raise ValueError("q0 and p0 must have equal length")
-        if self.t_end <= 0.0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.invariant is not None:
             D = np.atleast_2d(np.asarray(self.invariant, dtype=float))
             if D.shape != (d, d):
@@ -160,8 +160,10 @@ class SolverConfig:
     iteration_mode: str = "tolerance"
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"step size must be > 0, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step size must be finite and > 0, got {self.h}")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.iteration_mode not in ("tolerance", "fixed"):

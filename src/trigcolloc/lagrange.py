@@ -99,13 +99,14 @@ def build_node_set(nodes) -> NodeSet:
     """Validate nodes and expand each basis polynomial to monomial form.
 
     Raises InvalidNodesError for an empty set, more than MAX_NODES nodes,
-    nodes outside [0, 1], or (near-)duplicate nodes.
+    NaN nodes, nodes outside [0, 1], or (near-)duplicate nodes.
     """
     c = np.asarray(nodes, dtype=float).ravel()
     s = c.size
     if s == 0 or s > MAX_NODES:
         raise InvalidNodesError(f"need between 1 and {MAX_NODES} nodes, got {s}")
-    if np.any(c < 0.0) or np.any(c > 1.0):
+    # written so that NaN, which fails every comparison, fails it too
+    if not ((c >= 0.0) & (c <= 1.0)).all():
         raise InvalidNodesError(f"nodes must lie in [0, 1], got {c!r}")
     gaps = np.abs(c[:, None] - c[None, :])[np.triu_indices(s, k=1)]
     if s > 1 and gaps.min() < MIN_NODE_GAP:

@@ -160,6 +160,8 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
     M is the periodic second-difference matrix / dx^2 (singular, PSD),
     the on-site potential contributes u^2/2 + u^4/4 per node.
     """
+    if n < 1:
+        raise ValueError(f"need at least one grid point, got n={n}")
     length = 1.28
     amp = 0.9
     dx = length / n
@@ -206,6 +208,8 @@ def wave_problem(n: int = 40, t_end: float = 10.0) -> ProblemSpec:
     U_i(t) = a(x_i) cos(10 t) satisfies the semi-discrete system exactly
     and serves as the error reference.
     """
+    if n < 2:
+        raise ValueError(f"need at least two grid intervals, got n={n}")
     d = n - 1
     dx = 1.0 / n
     x = dx * np.arange(1, n)

@@ -137,6 +137,27 @@ def test_coeffs_scalar_matrix_reports_tiny_defects(tmp_path):
         assert float(r[7]) <= 1e-10
 
 
+def test_coeffs_scalar_series_path_dumps_matrix_rows(tmp_path):
+    # d = 1 off the spectral path: the matrix rows, with index2 0 and no oracle
+    out = tmp_path / "coeffs.csv"
+    code = run([
+        "coeffs", "--m-scalar", "4", "--path", "series", "--h", "0.1", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    table = cli.build_table(lg.gauss2(), np.array([[4.0]]), 0.1, path="series")
+    want = [
+        [kind, i, str(j), "0", "0", cli.fmt(value), "", ""]
+        for kind, i, values in (
+            ("q", "", table.weights_q.ravel()),
+            ("p", "", table.weights_p.ravel()),
+            ("stage", "0", table.stage_weights[0].ravel()),
+            ("stage", "1", table.stage_weights[1].ravel()),
+        )
+        for j, value in enumerate(values)
+    ]
+    assert read_csv(out)[1] == want
+
+
 def test_coeffs_wave_spectral_path_is_rejected(capsys):
     code = run([
         "coeffs", "--problem", "wave", "--n", "8", "--path", "spectral",
@@ -406,3 +427,30 @@ def test_non_finite_numbers_are_usage_errors(argv, capsys):
         run(argv)
     assert exc.value.code == cli.EXIT_USAGE
     assert "must be finite" in capsys.readouterr().err
+
+
+SOLVE_FPU = ["solve", "--problem", "fpu", "--h", "0.1", "--t-end", "0.5"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (SOLVE_FPU + ["--t-end", "nan"], "--t-end"),
+    (SOLVE_FPU + ["--t-end", "-1"], "t_end"),
+    (SOLVE_FPU + ["--omega", "nan"], "--omega"),
+    (SOLVE_FPU + ["--max-iter", "0"], "max_iter"),
+    (SOLVE_FPU + ["--tol", "nan"], "--tol"),
+    (SOLVE_FPU + ["--nodes", "nan,0.5"], "--nodes"),
+    (SOLVE_FPU + ["--problem", "klein-gordon", "--n", "0"], "n=0"),
+    (SOLVE_FPU + ["--problem", "wave", "--n", "1"], "n=1"),
+    (["stability", "--nodes", "0.5,nan", "--grid", "5x5"], "--nodes"),
+], ids=["t-end-nan", "t-end-negative", "omega-nan", "max-iter-0", "tol-nan", "nodes-nan",
+        "klein-gordon-n-0", "wave-n-1", "stability-nodes-nan"])
+def test_bad_flag_values_are_usage_errors_without_traceback(argv, named, capsys):
+    # each once ended in a traceback (exit 1) or a solver failure (exit 3)
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and named in captured.err
+    assert captured.out == ""

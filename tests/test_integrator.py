@@ -992,6 +992,16 @@ def test_ivp_validation():
             p0=np.zeros(2),
             t_end=1.0,
         )
+    # NaN once failed only in the step grid, and inf overflowed there
+    for t_end in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end"):
+            OscillatoryIVP(
+                M=np.zeros((2, 2)),
+                force=lambda t, q: q,
+                q0=np.zeros(2),
+                p0=np.zeros(2),
+                t_end=t_end,
+            )
 
 
 def test_coefficient_path_detection():
@@ -1016,11 +1026,18 @@ def test_one_symmetry_test_for_every_path_choice():
                 mf.decompose_symmetric(M)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
 def test_solver_config_rejects_a_step_that_is_not_positive(h):
     # a NaN step passes h <= 0 and once reached the coefficient layer
     with pytest.raises(ValueError, match="step size"):
         SolverConfig(h=h)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_solver_config_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # such a tol once ran max_iter sweeps and was reported as a solver failure
+    with pytest.raises(ValueError, match="tol"):
+        SolverConfig(h=0.1, tol=tol)
 
 
 @pytest.mark.parametrize("omega", [10.0, 1e2, 1e3, 1e4, 1e5])

@@ -45,6 +45,9 @@ def test_gauss_nodes_low_orders():
         [-0.01, 0.5],
         [0.5, 1.01],
         [0.3, 0.3 + 1e-12],
+        # NaN fails every range and gap comparison
+        [0.5, float("nan")],
+        [float("nan"), 0.5],
     ],
 )
 def test_invalid_node_sets_rejected(nodes):

@@ -54,6 +54,21 @@ def test_overrides_reach_builders():
     assert sat.ivp.t_end == 1.0
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("fpu", {"m": 1}),
+    ("klein-gordon", {"n": 0}),
+    ("klein-gordon", {"n": -3}),
+    ("wave", {"n": 1}),
+    ("wave", {"n": 0}),
+])
+def test_too_small_problem_sizes_are_rejected_by_name(name, overrides):
+    # klein-gordon once divided by zero or asked for negative dimensions,
+    # and wave built a 0-dimensional IVP
+    (key, value), = overrides.items()
+    with pytest.raises(ValueError, match=f"{key}={value}"):
+        build_problem(name, **overrides)
+
+
 @pytest.mark.parametrize("name", ["satellite", "fpu", "klein-gordon"])
 def test_force_is_negative_gradient_of_potential(name):
     spec = build_problem(name)
