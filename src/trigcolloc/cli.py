@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lagrange as lg
-from .coeffs import WeightKind, build_table, quadrature_weight
+from .coeffs import (  # noqa: F401 (perfbench/spans.py wraps build_table here)
+    WeightKind, build_table, lifted_blocks, quadrature_weight)
 from .errors import StageIterationError, TrigCollocError
 from .integrator import (DEFAULT_MAX_ITER, DEFAULT_TOL, ERROR_FLOOR, SolverConfig,
                          endpoint_errors, fit_order, solve)
@@ -213,17 +214,13 @@ def cmd_coeffs(manifest: RunManifest) -> int:
         M = np.array([[manifest.m_scalar]])
     else:
         M = _problem(manifest).ivp.M
-    table = build_table(ns, M, manifest.h, path=manifest.path)
+    path, _, (b_q, b_p, A, *_) = lifted_blocks(ns, M, manifest.h, manifest.path)
     # scalar M on the spectral path: weights are plain kernel values, compared
     # to quadrature in the last two cells (index2 stays empty)
-    with_oracle = table.path == "spectral" and table.dim == 1
+    with_oracle = path == "spectral" and len(M) == 1
     v = manifest.h**2 * M[0, 0]
     pieces = ["kind,i,j,index1,index2,value,oracle,abs_err\n"]
-    kinds = [
-        (WeightKind.Q, table.weights_q, False),
-        (WeightKind.P, table.weights_p, False),
-        (WeightKind.STAGE, table.stage_weights, True),
-    ]
+    kinds = [(WeightKind.Q, b_q, False), (WeightKind.P, b_p, False), (WeightKind.STAGE, A, True)]
     for kind, arr, staged in kinds:
         for i in range(ns.s) if staged else [None]:
             for j in range(ns.s):
@@ -363,7 +360,8 @@ def main(argv=None) -> int:
     except StageIterationError as exc:
         print(f"solver failed at step {exc.step_index}: {exc} ", file=sys.stderr)
         return EXIT_SOLVER
-    except TrigCollocError as exc:
+    except (TrigCollocError, OSError) as exc:
+        # OSError: --out could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

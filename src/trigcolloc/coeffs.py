@@ -34,18 +34,18 @@ The factor c^-2 is what is left of the prefactor once the chain-rule
 factors c^(2k) of z -> l(c z) cancel.
 
 A table's blocks (weights, phi0 and phi1 at each scale, the p-block) are
-defined once, as scalar rows over the frequencies (scalar_blocks), and lifted
-once per path: one matfun.lift (spectral), or one matfun.power_series over
-their Taylor coefficients (_taylor_blocks, series).  The stability analysis
-reads the same rows at d = 1.  A table keeps the weights but not the phi and
-p-block rows, which only its operators read.
+defined once, as scalar rows over the frequencies (scalar_blocks).
+lifted_blocks is the one place that lifts them to d x d: one matfun.lift
+(spectral), or matfun.power_series over their Taylor coefficients
+(_taylor_blocks, series).  The stability analysis reads the same rows at
+d = 1.  A table keeps only the operators built from the blocks.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .matfun import (  # noqa: F401 (perfbench/spans.py wraps the phi pairs here
     SERIES_MAX_TERMS,
     SERIES_NORM_GUARD,
     SERIES_TOL,
-    SpectralDecomposition,
     decompose_symmetric,
     is_symmetric,
     lift,
@@ -238,7 +237,7 @@ def _phi_views(ns: lg.NodeSet, phi: np.ndarray) -> tuple:
 
 
 def unstack_blocks(ns: lg.NodeSet, blocks: np.ndarray) -> tuple:
-    """(b_q, b_p, A, phi0, phi1, p_block), in CoefficientTable's field order,
+    """(b_q, b_p, A, phi0, phi1, p_block), in one_step_operators' argument order,
     as views of a stack of d x d blocks whose axis -3 runs over scalar_blocks' rows."""
     n_w = (ns.s + 2) * ns.s
     return _weight_views(ns, blocks[..., :n_w, :, :]) + _phi_views(ns, blocks[..., n_w:, :, :])
@@ -278,82 +277,43 @@ def one_step_operators(c, h, b_q, b_p, A, phi0, phi1, p_block):
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
-    """All step coefficients for one (nodes, M, h) combination.
+    """The one-step map for one (nodes, M, h) combination.
 
-    Raw weight matrices keep the defining-integral normalization; the
-    one-step map is applied through the four flat operators that
-    one_step_operators builds from them.  ``stage_offsets`` is the (s, 1)
-    column c_i h, so a step from t evaluates its stage forces at the times
-    t + stage_offsets.  phi0 and phi1 at (c h)^2 M, c in (1, c_1, ...,
-    c_s), and p_block = -h M phi1(h^2 M) (on both paths the lift of the row
-    -w sin(h w), never a product with M) are init-only: they enter the
-    predictor and propagator and are not kept.  Tables are immutable; reuse
-    one per (nodes, M, h).
+    It holds the four flat operators of one_step_operators and
+    ``stage_offsets``, the (s, 1) column c_i h, so that a step from t
+    evaluates its stage forces at the times t + stage_offsets.  The blocks
+    the operators are built from (lifted_blocks) are not kept.  Tables are
+    immutable; reuse one per (nodes, M, h).
     """
 
     node_set: lg.NodeSet
     M: np.ndarray
     h: float
     path: str
-    weights_q: np.ndarray
-    weights_p: np.ndarray
-    stage_weights: np.ndarray
-    phi0: InitVar[np.ndarray]
-    phi1: InitVar[np.ndarray]
-    p_block: InitVar[np.ndarray]
-    predictor: np.ndarray = field(init=False)
-    stage_matrix: np.ndarray = field(init=False)
-    propagator: np.ndarray = field(init=False)
-    force_matrix: np.ndarray = field(init=False)
-    stage_offsets: np.ndarray = field(init=False)
-
-    def __post_init__(self, phi0, phi1, p_block):
-        c, h = self.node_set.nodes, self.h
-        operators = one_step_operators(c, h, self.weights_q, self.weights_p, self.stage_weights,
-                                       phi0, phi1, p_block)
-        for name, value in zip(("predictor", "stage_matrix", "propagator", "force_matrix"), operators):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "stage_offsets", (c * h)[:, None])
+    predictor: np.ndarray
+    stage_matrix: np.ndarray
+    propagator: np.ndarray
+    force_matrix: np.ndarray
+    stage_offsets: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
 
 
-def build_table_spectral(ns: lg.NodeSet, sd: SpectralDecomposition, h: float) -> CoefficientTable:
-    """Assemble the table through the eigendecomposition of symmetric M:
-    one lift of scalar_blocks' rows and of freqs^2, the row of M.
+def lifted_blocks(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> tuple:
+    """(path, M, (b_q, b_p, A, phi0, phi1, p_block)): the one-step map's
+    blocks at d x d, as one_step_operators takes them.
 
-    The lift runs as two stacks, which round alike: the weights and M, which
-    the table keeps, and the phi and p-block rows, which only its operators
-    read, so that stack is freed once they are built.
-    """
-    rows, n_w = scalar_blocks(ns, h, sd.freqs), (ns.s + 2) * ns.s
-    kept = lift(sd, np.concatenate((rows[:n_w], [sd.freqs**2])))
-    return CoefficientTable(ns, kept[-1], h, "spectral", *_weight_views(ns, kept[:-1]),
-                            *_phi_views(ns, lift(sd, rows[n_w:])))
-
-
-def build_table_series(ns: lg.NodeSet, M: np.ndarray, h: float) -> CoefficientTable:
-    """Assemble the table by power series in V = h^2 M over _taylor_blocks' rows.
-
-    Requires ||V||_inf within the series guard; works for any square M,
-    symmetric or not.  As on the spectral path the series runs as two
-    stacks: the weights, which the table keeps, and the phi and p-block
-    rows, which only its operators read, so that stack is freed once they
-    are built.
-    """
-    M = np.asarray(M, dtype=float)
-    V, rows, n_w = h * h * M, _taylor_blocks(ns, h), (ns.s + 2) * ns.s
-    return CoefficientTable(ns, M, h, "series", *_weight_views(ns, power_series(V, rows[:n_w])),
-                            *_phi_views(ns, power_series(V, rows[n_w:])))
-
-
-def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:
-    """Build a table, picking the spectral path for symmetric PSD M.
-
-    path: "auto" | "spectral" | "series".  Raises ValueError unless h is
-    finite and > 0 and every entry of M is finite.
+    path: "auto" | "spectral" | "series"; auto picks the spectral path for
+    symmetric M.  The spectral path lifts every scalar_blocks row at once
+    and returns M as the lift of freqs^2; the series path sums
+    _taylor_blocks' rows in V = h^2 M as two power series, the weights and
+    the rest, each stopping on its own terms, and returns M as given.  The
+    series path works for any square M with ||V||_inf within the guard; on
+    both paths p_block = -h M phi1(V) is the lift of the row -w sin(h w),
+    never a product with M.  Raises ValueError unless h is finite and > 0
+    and every entry of M is finite.
     """
     M = np.asarray(M, dtype=float)
     if path not in ("auto", "spectral", "series"):
@@ -363,5 +323,17 @@ def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> 
     if not np.isfinite(M).all():
         raise ValueError("M must be finite")
     if path == "spectral" or (path == "auto" and is_symmetric(M)):
-        return build_table_spectral(ns, decompose_symmetric(M), h)
-    return build_table_series(ns, M, h)
+        sd = decompose_symmetric(M)
+        blocks = unstack_blocks(ns, lift(sd, scalar_blocks(ns, h, sd.freqs)))
+        return "spectral", lift(sd, sd.freqs**2), blocks
+    V, rows, n_w = h * h * M, _taylor_blocks(ns, h), (ns.s + 2) * ns.s
+    weight_blocks = _weight_views(ns, power_series(V, rows[:n_w]))
+    return "series", M, weight_blocks + _phi_views(ns, power_series(V, rows[n_w:]))
+
+
+def build_table(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> CoefficientTable:
+    """The table of lifted_blocks' map (same arguments and errors); the
+    blocks are freed once the operators are built."""
+    path, M, blocks = lifted_blocks(ns, M, h, path)
+    c = ns.nodes
+    return CoefficientTable(ns, M, h, path, *one_step_operators(c, h, *blocks), (c * h)[:, None])

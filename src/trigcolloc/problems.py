@@ -12,6 +12,8 @@ the last axis, so each serves a single d-vector as well as (n, d) rows
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -107,6 +109,8 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
               + sum_i (x_{i+1} - x_{m+i+1} - x_i - x_{m+i})^4
               + (x_{m-1} + x_{2m-1})^4 ].
     """
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"need a finite omega > 0, got omega={omega}")
     if m < 2:
         raise ValueError(f"need at least two spring pairs, got m={m}")
     d = 2 * m
@@ -250,8 +254,24 @@ PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {
 
 
 def build_problem(name: str, **overrides) -> ProblemSpec:
-    """Look up a registered problem and apply keyword overrides."""
+    """Look up a registered problem and apply keyword overrides.
+
+    Raises KeyError for an unknown name and ValueError, naming the problem
+    and the keyword, for an override its builder does not take.
+    """
     if name not in PROBLEMS:
         known = ", ".join(sorted(PROBLEMS))
         raise KeyError(f"unknown problem {name!r}; known: {known}")
-    return PROBLEMS[name](**overrides)
+    builder = PROBLEMS[name]
+    takes = _keywords(builder)
+    for key in overrides:
+        if key not in takes:
+            raise ValueError(f"problem {name!r} takes no {key!r}; it takes {', '.join(takes)}")
+    return builder(**overrides)
+
+
+@functools.cache
+def _keywords(builder) -> tuple:
+    """The keywords a builder takes, read once per builder: inspect.signature
+    costs about 15 us, as much as building fpu."""
+    return tuple(inspect.signature(builder).parameters)

@@ -114,7 +114,9 @@ def _stability_batch(ns: lg.NodeSet, vs: np.ndarray, zs: np.ndarray) -> np.ndarr
     if np.count_nonzero(singular):
         N.reshape(-1, s, s)[singular] = np.eye(s)  # solvable stand-in; those S become NaN
     y = np.linalg.solve(N, P[:, None])
-    S = (R[:, None] - zs[:, None, None] * (B[:, None] @ y)).reshape(-1, 2, 2)
+    # with a node near 0, z = -1/lambda(K) can pass 1e301: S overflows to +-inf
+    with np.errstate(over="ignore"):
+        S = (R[:, None] - zs[:, None, None] * (B[:, None] @ y)).reshape(-1, 2, 2)
     S[singular] = np.nan
     return S
 

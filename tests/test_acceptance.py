@@ -20,7 +20,7 @@ from trigcolloc import (
 from trigcolloc import cli
 from trigcolloc import lagrange as lg
 from trigcolloc import stability as st
-from trigcolloc.coeffs import WeightKind, quadrature_weight, scalar_weight
+from trigcolloc.coeffs import WeightKind, lifted_blocks, quadrature_weight, scalar_weight
 from trigcolloc.integrator import (
     check_contraction,
     estimate_order,
@@ -183,16 +183,17 @@ def test_acceptance_5_coefficient_three_path_agreement(capsys):
     # which make the propagator [[phi0, h phi1], [-h M phi1, phi0]] at h = 1
     # the free flight [[1, 1], [0, 1]].
     table = build_table(G2, np.zeros((1, 1)), 1.0)
+    _, _, (b_q, b_p, A, *_) = lifted_blocks(G2, np.zeros((1, 1)), 1.0)
     diff = np.abs(table.propagator - np.array([[1.0, 1.0], [0.0, 1.0]])).max()
     for j in range(2):
         diff = max(
             diff,
-            abs(table.weights_q[j, 0, 0] - lg.eval_basis(G2, j, 1.0 / 3.0) / 2.0),
-            abs(table.weights_p[j, 0, 0] - lg.eval_basis(G2, j, 0.5)),
+            abs(b_q[j, 0, 0] - lg.eval_basis(G2, j, 1.0 / 3.0) / 2.0),
+            abs(b_p[j, 0, 0] - lg.eval_basis(G2, j, 0.5)),
         )
         for i in range(2):
             want = lg.eval_basis(G2, j, G2.nodes[i] / 3.0) / 2.0
-            diff = max(diff, abs(table.stage_weights[i, j, 0, 0] - want))
+            diff = max(diff, abs(A[i, j, 0, 0] - want))
     assert diff <= 1e-14
     _report(
         capsys, 5,

@@ -144,14 +144,14 @@ def test_coeffs_scalar_series_path_dumps_matrix_rows(tmp_path):
         "coeffs", "--m-scalar", "4", "--path", "series", "--h", "0.1", "--out", str(out),
     ])
     assert code == cli.EXIT_OK
-    table = cli.build_table(lg.gauss2(), np.array([[4.0]]), 0.1, path="series")
+    _, _, (b_q, b_p, A, *_) = cli.lifted_blocks(lg.gauss2(), np.array([[4.0]]), 0.1, "series")
     want = [
         [kind, i, str(j), "0", "0", cli.fmt(value), "", ""]
         for kind, i, values in (
-            ("q", "", table.weights_q.ravel()),
-            ("p", "", table.weights_p.ravel()),
-            ("stage", "0", table.stage_weights[0].ravel()),
-            ("stage", "1", table.stage_weights[1].ravel()),
+            ("q", "", b_q.ravel()),
+            ("p", "", b_p.ravel()),
+            ("stage", "0", A[0].ravel()),
+            ("stage", "1", A[1].ravel()),
         )
         for j, value in enumerate(values)
     ]
@@ -442,8 +442,15 @@ SOLVE_FPU = ["solve", "--problem", "fpu", "--h", "0.1", "--t-end", "0.5"]
     (SOLVE_FPU + ["--problem", "klein-gordon", "--n", "0"], "n=0"),
     (SOLVE_FPU + ["--problem", "wave", "--n", "1"], "n=1"),
     (["stability", "--nodes", "0.5,nan", "--grid", "5x5"], "--nodes"),
+    (SOLVE_FPU + ["--omega", "0"], "omega=0"),
+    (["solve", "--problem", "satellite", "--omega", "5", "--h", "0.1"],
+     "problem 'satellite' takes no 'omega'"),
+    (["solve", "--problem", "fpu", "--n", "5", "--h", "0.1"], "problem 'fpu' takes no 'n'"),
+    (["coeffs", "--problem", "satellite", "--n", "3", "--h", "0.1"],
+     "problem 'satellite' takes no 'n'"),
 ], ids=["t-end-nan", "t-end-negative", "omega-nan", "max-iter-0", "tol-nan", "nodes-nan",
-        "klein-gordon-n-0", "wave-n-1", "stability-nodes-nan"])
+        "klein-gordon-n-0", "wave-n-1", "stability-nodes-nan", "fpu-omega-0",
+        "satellite-omega", "fpu-n", "coeffs-satellite-n"])
 def test_bad_flag_values_are_usage_errors_without_traceback(argv, named, capsys):
     # each once ended in a traceback (exit 1) or a solver failure (exit 3)
     try:
@@ -453,4 +460,15 @@ def test_bad_flag_values_are_usage_errors_without_traceback(argv, named, capsys)
     assert code == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and named in captured.err
+    assert captured.out == ""
+
+
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    # once a FileNotFoundError traceback (exit 1)
+    out = tmp_path / "missing" / "x.csv"
+    code = run(SOLVE_FPU + ["--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "error:" in captured.err
+    assert str(out) in captured.err
     assert captured.out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -181,8 +182,8 @@ def test_stage_weight_at_node_one_is_the_q_weight_exactly(nodes):
             assert stage == cf.scalar_weight(ns, WeightKind.Q, j, lam)
     M = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
     for path in ("spectral", "series"):
-        table = cf.build_table(ns, M, 0.7, path=path)
-        assert np.array_equal(table.stage_weights[last], table.weights_q)
+        _, _, (b_q, _, A, *_) = cf.lifted_blocks(ns, M, 0.7, path)
+        assert np.array_equal(A[last], b_q)
 
 
 def test_series_guard_rejects_large_argument():
@@ -236,7 +237,8 @@ def _random_spd(seed, eigenvalues):
 )
 def test_table_paths_agree_on_random_spd(nodes, log_eigs, guard_share, seed):
     # SPD M with eigenvalues in [1e-2, 1e4], h up to the series guard
-    # ||h^2 M||_inf <= 30: both paths give every array of the table
+    # ||h^2 M||_inf <= 30: both paths give every array of the table and
+    # the weights (b_q, b_p, A) it is built from
     ns = _nodes_or_reject(nodes)
     M = _random_spd(seed, 10.0 ** np.array(log_eigs))
     h = math.sqrt(guard_share * mf.SERIES_NORM_GUARD / np.abs(M).sum(axis=1).max())
@@ -244,12 +246,11 @@ def test_table_paths_agree_on_random_spd(nodes, log_eigs, guard_share, seed):
     ser_table = cf.build_table(ns, M, h, path="series")
     assert spec_table.path == "spectral"
     assert ser_table.path == "series"
-    for name in (
-        "weights_q", "weights_p", "stage_weights", "predictor", "stage_matrix",
-        "propagator", "force_matrix",
-    ):
-        a = getattr(spec_table, name)
-        b = getattr(ser_table, name)
+    names = ("predictor", "stage_matrix", "propagator", "force_matrix")
+    pairs = [(getattr(spec_table, name), getattr(ser_table, name)) for name in names]
+    pairs += zip(cf.lifted_blocks(ns, M, h, "spectral")[2][:3],
+                 cf.lifted_blocks(ns, M, h, "series")[2][:3])
+    for a, b in pairs:
         assert np.abs(a - b).max() <= 1e-11 * max(1.0, np.abs(a).max())
 
 
@@ -296,10 +297,11 @@ def test_table_shapes_and_scalings():
     M = np.diag([1.0, 9.0, 25.0])
     h = 0.3
     table = cf.build_table(ns, M, h)
+    _, _, (b_q, b_p, A, *_) = cf.lifted_blocks(ns, M, h)
     d = 3
-    assert table.weights_q.shape == (2, d, d)
-    assert table.weights_p.shape == (2, d, d)
-    assert table.stage_weights.shape == (2, 2, d, d)
+    assert b_q.shape == (2, d, d)
+    assert b_p.shape == (2, d, d)
+    assert A.shape == (2, 2, d, d)
     assert table.predictor.shape == (2 * d, 2 * d)
     assert table.stage_matrix.shape == (2 * d, 2 * d)
     assert table.propagator.shape == (2 * d, 2 * d)
@@ -308,13 +310,13 @@ def test_table_shapes_and_scalings():
     for j in range(2):
         fq = table.force_matrix[:d, blk(j)]
         fp = table.force_matrix[d:, blk(j)]
-        assert np.abs(fq - h * h * table.weights_q[j]).max() == 0.0
-        assert np.abs(fp - h * table.weights_p[j]).max() == 0.0
+        assert np.abs(fq - h * h * b_q[j]).max() == 0.0
+        assert np.abs(fp - h * b_p[j]).max() == 0.0
     sd = mf.decompose_symmetric(M)
     for i in range(2):
         ci = ns.nodes[i]
         for j in range(2):
-            want = (ci * h) ** 2 * table.stage_weights[i, j]
+            want = (ci * h) ** 2 * A[i, j]
             assert np.abs(table.stage_matrix[blk(i), blk(j)] - want).max() == 0.0
         phi0, phi1 = mf.phi_pair_spectral(sd, ci * h)
         assert np.abs(table.predictor[blk(i), :d] - phi0).max() == 0.0
@@ -330,36 +332,44 @@ def test_table_shapes_and_scalings():
 @pytest.mark.parametrize("path", ["spectral", "series"])
 @pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7], [0.1, 0.5, 0.9]])
 def test_table_keeps_no_phi_or_p_block_rows_alive(path, nodes):
-    # the weights and M own at most the (s + 2) s weight blocks and M's own
-    # block: the phi and p-block rows of the lifted stack are freed
+    # no array of the table keeps a larger buffer alive, and the table holds
+    # exactly its four operators, M and stage_offsets: none of the lifted
+    # blocks (weights, phi and p-block rows) it was built from
     ns = lg.build_node_set(nodes)
-    d = 4
+    d, sd = 4, ns.s * 4
     M = np.diag([1.0, 4.0, 9.0, 16.0]) + 0.1
     table = cf.build_table(ns, M, 0.2, path=path)
-    for arr in (table.weights_q, table.weights_p, table.stage_weights, table.M):
-        owner = arr if arr.base is None else arr.base
-        assert owner.size <= ((ns.s + 2) * ns.s + 1) * d * d
+    values = (getattr(table, f.name) for f in dataclasses.fields(table))
+    owners = []
+    for arr in (v for v in values if isinstance(v, np.ndarray)):
+        owner = arr
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == arr.nbytes
+        owners.append(owner)
+    operators = sd * 2 * d + sd * sd + 2 * d * 2 * d + 2 * d * sd
+    assert sum(o.nbytes for o in owners) == 8 * (operators + d * d + ns.s)
 
 
 def test_table_diagonal_matches_scalar_kernels():
     ns = lg.gauss2()
     omega = 3.0
     h = 0.25
-    table = cf.build_table(ns, np.array([[omega * omega]]), h)
+    _, _, (b_q, b_p, A, *_) = cf.lifted_blocks(ns, np.array([[omega * omega]]), h)
     lam = h * omega
     for j in range(2):
         assert (
-            abs(table.weights_q[j, 0, 0] - cf.scalar_weight(ns, WeightKind.Q, j, lam))
+            abs(b_q[j, 0, 0] - cf.scalar_weight(ns, WeightKind.Q, j, lam))
             < 1e-13
         )
         assert (
-            abs(table.weights_p[j, 0, 0] - cf.scalar_weight(ns, WeightKind.P, j, lam))
+            abs(b_p[j, 0, 0] - cf.scalar_weight(ns, WeightKind.P, j, lam))
             < 1e-13
         )
         for i in range(2):
             assert (
                 abs(
-                    table.stage_weights[i, j, 0, 0]
+                    A[i, j, 0, 0]
                     - cf.scalar_weight(ns, WeightKind.STAGE, j, lam, i)
                 )
                 < 1e-13
@@ -386,13 +396,14 @@ def test_zero_matrix_table_is_classical_tableau():
     ns = lg.gauss2()
     h = 0.5
     table = cf.build_table(ns, np.zeros((1, 1)), h)
+    _, _, (b_q, b_p, *_) = cf.lifted_blocks(ns, np.zeros((1, 1)), h)
     for j in range(2):
         assert (
-            abs(table.weights_q[j, 0, 0] - cf.scalar_weight(ns, WeightKind.Q, j, 0.0))
+            abs(b_q[j, 0, 0] - cf.scalar_weight(ns, WeightKind.Q, j, 0.0))
             < TABLEAU_TOL
         )
         assert (
-            abs(table.weights_p[j, 0, 0] - cf.scalar_weight(ns, WeightKind.P, j, 0.0))
+            abs(b_p[j, 0, 0] - cf.scalar_weight(ns, WeightKind.P, j, 0.0))
             < TABLEAU_TOL
         )
     # propagator [[phi0, h phi1], [-h M phi1, phi0]] with unit phi factors

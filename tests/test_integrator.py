@@ -201,7 +201,7 @@ def test_step_rejects_a_table_built_for_another_step():
 
 
 def defining_step(table, ivp, t, q, p, h, sweeps):
-    """One step from the raw weights and phi pairs, stage by stage.
+    """One step from the raw weights (lifted_blocks) and phi pairs, stage by stage.
 
     Runs exactly ``sweeps`` stage sweeps, then the update; returns
     (q_new, p_new, stages).
@@ -209,6 +209,7 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
     ns = table.node_set
     c, s = ns.nodes, ns.s
     M = table.M
+    _, _, (b_q, b_p, A, *_) = cf.lifted_blocks(ns, ivp.M, h, table.path)
     if table.path == "spectral":
         sd = mf.decompose_symmetric(M)
         pairs = [mf.phi_pair_spectral(sd, ci * h) for ci in c]
@@ -219,7 +220,7 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
     pred = np.stack(
         [pairs[i][0] @ q + (c[i] * h) * (pairs[i][1] @ p) for i in range(s)]
     )
-    stage_scaled = ((c * h) ** 2)[:, None, None, None] * table.stage_weights
+    stage_scaled = ((c * h) ** 2)[:, None, None, None] * A
     stage_t = t + c * h
     stages = pred.copy()
     for _ in range(sweeps):
@@ -229,11 +230,11 @@ def defining_step(table, ivp, t, q, p, h, sweeps):
     phi0, phi1 = main
     q_new = (
         phi0 @ q + h * (phi1 @ p)
-        + np.einsum("jkl,jl->k", h * h * table.weights_q, forces)
+        + np.einsum("jkl,jl->k", h * h * b_q, forces)
     )
     p_new = (
         -h * (M @ phi1) @ q + phi0 @ p
-        + np.einsum("jkl,jl->k", h * table.weights_p, forces)
+        + np.einsum("jkl,jl->k", h * b_p, forces)
     )
     return q_new, p_new, stages
 

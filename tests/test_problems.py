@@ -60,13 +60,25 @@ def test_overrides_reach_builders():
     ("klein-gordon", {"n": -3}),
     ("wave", {"n": 1}),
     ("wave", {"n": 0}),
+    ("fpu", {"omega": 0}),
+    ("fpu", {"omega": -1}),
 ])
 def test_too_small_problem_sizes_are_rejected_by_name(name, overrides):
     # klein-gordon once divided by zero or asked for negative dimensions,
-    # and wave built a 0-dimensional IVP
+    # wave built a 0-dimensional IVP, and fpu divided by omega = 0
     (key, value), = overrides.items()
     with pytest.raises(ValueError, match=f"{key}={value}"):
         build_problem(name, **overrides)
+
+
+@pytest.mark.parametrize("name, key", [
+    ("satellite", "omega"), ("satellite", "n"), ("fpu", "n"), ("klein-gordon", "omega"),
+    ("wave", "m"),
+])
+def test_overrides_a_builder_lacks_are_rejected_by_name(name, key):
+    # once a TypeError from the builder call
+    with pytest.raises(ValueError, match=f"problem '{name}' takes no '{key}'"):
+        build_problem(name, **{key: 5})
 
 
 @pytest.mark.parametrize("name", ["satellite", "fpu", "klein-gordon"])

@@ -295,6 +295,7 @@ NODE_LISTS = hst.lists(hst.floats(0.0, 1.0), min_size=1, max_size=4, unique=True
     log_gap=hst.floats(-15.0, -8.0),
 )
 @example(nodes=[0.5], V=0.0, zs=[-8.0, 1.0], log_gap=-12.0)
+@example(nodes=[2.2826785862339383e-151], V=0.0, zs=[0.0], log_gap=-8.0)
 def test_screened_singular_flag_matches_the_svd_test(nodes, V, zs, log_gap):
     # z = -1/lambda for a real eigenvalue lambda of K = diag(c^2) A makes
     # N = I + z K (numerically) singular, which the screen must hand to the
