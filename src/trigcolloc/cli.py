@@ -27,7 +27,7 @@ from .coeffs import (  # noqa: F401 (perfbench/spans.py wraps build_table here)
 from .errors import StageIterationError, TrigCollocError
 from .integrator import (DEFAULT_MAX_ITER, DEFAULT_TOL, ERROR_FLOOR, SolverConfig,
                          endpoint_errors, fit_order, solve)
-from .problems import PROBLEMS, ProblemSpec, build_problem
+from .problems import PROBLEMS, ProblemSpec, build_problem, quadratic_energy
 from .stability import scan_region
 
 EXIT_OK = 0
@@ -86,11 +86,10 @@ def _problem(manifest: RunManifest) -> ProblemSpec:
     spec = build_problem(manifest.problem, **manifest.overrides, **t_end)
     ivp = spec.ivp
     if manifest.zero_force:
-        M = ivp.M
-        # Row-wise, so they serve a vectorized IVP as well as a per-row one;
-        # the matching quadratic energy keeps the drift meaningful.
+        # Row-wise, so it serves the vectorized IVP; the matching quadratic
+        # energy keeps the drift meaningful.
         ivp.force = lambda t, q: np.zeros_like(q)
-        ivp.hamiltonian = lambda q, p: 0.5 * np.vecdot(p, p) + 0.5 * np.vecdot(q @ M, q)
+        ivp.hamiltonian = quadratic_energy(ivp.M)
     return spec
 
 

@@ -86,8 +86,12 @@ _GRID_SNAP = 1e-9
 # Order fits ignore errors below this floor (round-off plateau).
 ERROR_FLOOR = 1e-12
 
-# Times a refused reference solve is retried at twice the substeps.
+# A reference solve is refused when step doubling moves its endpoint by more
+# than REFERENCE_CHECK_TOL, and retried at twice the substeps, at least
+# REFERENCE_RETRIES times and up to REFERENCE_MAX_PER_UNIT substeps per unit.
+REFERENCE_CHECK_TOL = 1e-10
 REFERENCE_RETRIES = 3
+REFERENCE_MAX_PER_UNIT = 4096
 
 
 @dataclass
@@ -550,12 +554,11 @@ def reference_solve(
     ivp: OscillatoryIVP,
     n_substeps_per_unit: int,
     node_set: lg.NodeSet | None = None,
-    check_tol: float = 1e-10,
 ) -> Trajectory:
     """High-accuracy trajectory with a step-doubling self-check.
 
     Solves at h_ref = 1/n_substeps_per_unit and at h_ref/2; if the
-    endpoints differ by more than check_tol the oracle is rejected.
+    endpoints differ by more than REFERENCE_CHECK_TOL the oracle is rejected.
     Returns the finer trajectory tagged with the Richardson error
     estimate.
     """
@@ -569,9 +572,9 @@ def reference_solve(
         np.abs(coarse.q[-1] - fine.q[-1]).max(),
         np.abs(coarse.p[-1] - fine.p[-1]).max(),
     )
-    if diff > check_tol:
+    if diff > REFERENCE_CHECK_TOL:
         raise OracleUnreliableError(
-            f"step doubling moved the endpoint by {diff:.3g} > {check_tol:.3g};"
+            f"step doubling moved the endpoint by {diff:.3g} > {REFERENCE_CHECK_TOL:.3g};"
             " increase n_substeps_per_unit"
         )
     order = 2 * ns.s
@@ -601,18 +604,21 @@ def endpoint_errors(
     reference_solve at ceil(8 / min h) substeps per unit, with ``node_set``
     if it has two nodes or more and Gauss-2 otherwise (more accurate than
     a one-node method).  A refused reference is retried at twice the
-    substeps, at most REFERENCE_RETRIES times.
+    substeps, at least REFERENCE_RETRIES times and up to
+    REFERENCE_MAX_PER_UNIT substeps per unit.
     """
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
     if reference is None:
         per_unit = int(math.ceil(8.0 / hs.min()))
+        most = max(per_unit * 2**REFERENCE_RETRIES, REFERENCE_MAX_PER_UNIT)
         ref_nodes = node_set if node_set.s >= 2 else lg.gauss2()
-        for retry in range(REFERENCE_RETRIES + 1):
+        while True:
             try:
-                reference = reference_solve(ivp, per_unit * 2**retry, node_set=ref_nodes)
+                reference = reference_solve(ivp, per_unit, node_set=ref_nodes)
                 break
             except OracleUnreliableError:
-                if retry == REFERENCE_RETRIES:
+                per_unit *= 2
+                if per_unit > most:
                     raise
     if isinstance(reference, Trajectory):
         ref_q, ref_p = reference.q[-1], reference.p[-1]
@@ -632,43 +638,37 @@ def estimate_order(
     step_sizes,
     reference: Callable[[float], tuple[np.ndarray, np.ndarray]] | Trajectory | None = None,
     node_set: lg.NodeSet | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    error_floor: float = ERROR_FLOOR,
 ) -> OrderEstimate:
     """Least-squares slope of log(endpoint error) against log(h).
 
-    The errors and ``reference`` are endpoint_errors'.  Errors at or below
-    error_floor are excluded from the fit; at least two points must
-    survive, else ValueError.
+    The errors and ``reference`` are endpoint_errors', with SolverConfig's
+    default tol and max_iter.  Errors at or below ERROR_FLOOR are excluded
+    from the fit; at least two points must survive, else ValueError.
     """
     hs = sorted(step_sizes, reverse=True)
     if len(hs) < 3:
         raise ValueError(f"need at least 3 step sizes, got {len(hs)}")
     ns = node_set if node_set is not None else lg.gauss2()
-    config = SolverConfig(h=hs[0], tol=tol, max_iter=max_iter)
-    hs, errors = endpoint_errors(ivp, hs, reference, ns, config)
-    slope, used = fit_order(hs, errors, error_floor)
+    hs, errors = endpoint_errors(ivp, hs, reference, ns, SolverConfig(h=hs[0]))
+    slope, used = fit_order(hs, errors)
     if slope is None:
         raise ValueError(
-            f"only {int(used.sum())} errors above the floor {error_floor:.3g};"
+            f"only {int(used.sum())} errors above the floor {ERROR_FLOOR:.3g};"
             " cannot fit a slope"
         )
     return OrderEstimate(slope=slope, step_sizes=hs, errors=errors, used=used)
 
 
-def fit_order(
-    step_sizes, errors, error_floor: float = ERROR_FLOOR
-) -> tuple[float | None, np.ndarray]:
+def fit_order(step_sizes, errors) -> tuple[float | None, np.ndarray]:
     """Least-squares slope of log(error) against log(h) and the used mask.
 
-    Errors at or below error_floor are round-off, not discretization
+    Errors at or below ERROR_FLOOR are round-off, not discretization
     error, and are left out; the slope is None when fewer than two errors
     remain.
     """
     hs = np.asarray(step_sizes, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    used = errors > error_floor
+    used = errors > ERROR_FLOOR
     if used.sum() < 2:
         return None, used
     slope = float(np.polyfit(np.log(hs[used]), np.log(errors[used]), 1)[0])

@@ -1,9 +1,12 @@
 """Benchmark oscillatory systems exposed through a small registry.
 
-Each builder returns a ProblemSpec wrapping an OscillatoryIVP plus the
-potential behind its force (forces are exact negative gradients of the
-potential, which the tests verify by central differences) and, where one
-exists, the exact solution.
+Each builder gives its M, force, initial data and, where one exists, the
+potential U behind the force (forces are exact negative gradients of U,
+which the tests verify by central differences) or the exact solution.
+``_spec`` turns them into a ProblemSpec: it is the one place that builds a
+registered OscillatoryIVP, and a problem with a potential gets the energy
+H = |p|^2 / 2 + q'M q / 2 + U(q) of ``quadratic_energy``, the one copy of
+that formula.
 
 Every registered IVP is vectorized: force, potential and Hamiltonian act on
 the last axis, so each serves a single d-vector as well as (n, d) rows
@@ -30,7 +33,25 @@ class ProblemSpec:
     ivp: OscillatoryIVP
     potential: Callable[[np.ndarray], float] | None = None
     exact_solution: Callable[[float], tuple[np.ndarray, np.ndarray]] | None = None
-    notes: str = ""
+
+
+def quadratic_energy(M: np.ndarray, potential: Callable | None = None) -> Callable:
+    """H(q, p) = |p|^2 / 2 + q'M q / 2, plus potential(q) when one is given,
+    on the last axis."""
+    def energy(q: np.ndarray, p: np.ndarray):
+        quadratic = 0.5 * np.vecdot(p, p) + 0.5 * np.vecdot(q @ M, q)
+        return quadratic if potential is None else quadratic + potential(q)
+
+    return energy
+
+
+def _spec(name, params, M, force, q0, p0, t_end, potential=None, exact_solution=None):
+    """A registered problem: its vectorized IVP, with the energy of
+    ``quadratic_energy`` when it has a potential."""
+    hamiltonian = None if potential is None else quadratic_energy(M, potential)
+    ivp = OscillatoryIVP(M=M, force=force, q0=q0, p0=p0, t_end=t_end,
+                         hamiltonian=hamiltonian, vectorized=True)
+    return ProblemSpec(name, params, ivp, potential, exact_solution)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +74,7 @@ def satellite_problem(t_end: float = 100.0) -> ProblemSpec:
     k2 = GM_EARTH
     r0 = SAT_R0
     mu = 1.5 * k2 * OBLATENESS_J2 * EARTH_RADIUS**2
+    # |q0|^2 = r0, so the radius variable starts at r0
     q0 = math.sqrt(r0 / 2.0) * np.array([-1.0, -math.sqrt(3.0) / 2.0, -0.5, 0.0])
     # Perigee start: p0 is orthogonal to q0 (radial rate 2 q'p = 0) and
     # satisfies the regularization constraint q4 p1 - q3 p2 + q2 p3 - q1 p4
@@ -80,20 +102,8 @@ def satellite_problem(t_end: float = 100.0) -> ProblemSpec:
         )
         return -grad
 
-    def hamiltonian(q: np.ndarray, p: np.ndarray):
-        return 0.5 * np.vecdot(p, p) + 0.5 * (kappa / 2.0) * np.vecdot(q, q) + potential(q)
-
-    ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
-        vectorized=True,
-    )
-    return ProblemSpec(
-        name="satellite",
-        params={"t_end": t_end, "kappa": kappa, "mu": mu, "r0": r0, "ecc": SAT_ECC},
-        ivp=ivp,
-        potential=potential,
-        notes="|q0|^2 equals r0, so the radius variable starts at r0.",
-    )
+    params = {"t_end": t_end, "kappa": kappa, "mu": mu, "r0": r0, "ecc": SAT_ECC}
+    return _spec("satellite", params, M, force, q0, p0, t_end, potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -133,25 +143,14 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     def force(t, x: np.ndarray) -> np.ndarray:
         return (x.dot(GT) ** 3).dot(NG)
 
-    def hamiltonian(x: np.ndarray, y: np.ndarray):
-        return 0.5 * np.vecdot(y, y) + 0.5 * np.vecdot(x @ M, x) + potential(x)
-
     q0 = np.zeros(d)
     p0 = np.zeros(d)
     q0[0] = 1.0
     p0[0] = 1.0
     q0[m] = 1.0 / omega
     p0[m] = 1.0
-    ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
-        vectorized=True,
-    )
-    return ProblemSpec(
-        name="fpu",
-        params={"omega": omega, "m": m, "t_end": t_end},
-        ivp=ivp,
-        potential=potential,
-    )
+    params = {"omega": omega, "m": m, "t_end": t_end}
+    return _spec("fpu", params, M, force, q0, p0, t_end, potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +160,20 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
     """u_tt = u_xx - u - u^3 on a ring, second-order finite differences.
 
     Grid x_i = i * dx for i = 1..N with dx = L / N and L = 1.28;
-    M is the periodic second-difference matrix / dx^2 (singular, PSD),
-    the on-site potential contributes u^2/2 + u^4/4 per node.
+    M is the periodic second-difference matrix / dx^2 (singular, PSD,
+    for every N >= 1), the on-site potential contributes u^2/2 + u^4/4 per node.
     """
     if n < 1:
         raise ValueError(f"need at least one grid point, got n={n}")
     length = 1.28
     amp = 0.9
     dx = length / n
-    M = np.zeros((n, n))
+    # the two neighbours accumulate: for n = 1 they are the node itself, for
+    # n = 2 the same node twice
+    M = 2.0 * np.eye(n)
     for i in range(n):
-        M[i, i] = 2.0
-        M[i, (i - 1) % n] = -1.0
-        M[i, (i + 1) % n] = -1.0
+        M[i, (i - 1) % n] -= 1.0
+        M[i, (i + 1) % n] -= 1.0
     M /= dx * dx
 
     def potential(u: np.ndarray):
@@ -182,22 +182,10 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
     def force(t, u: np.ndarray) -> np.ndarray:
         return -(u + u**3)
 
-    def hamiltonian(u: np.ndarray, v: np.ndarray):
-        return 0.5 * np.vecdot(v, v) + 0.5 * np.vecdot(u @ M, u) + potential(u)
-
     x = dx * np.arange(1, n + 1)
     q0 = amp * (1.0 + np.cos(2.0 * math.pi * x / length))
-    p0 = np.zeros(n)
-    ivp = OscillatoryIVP(
-        M=M, force=force, q0=q0, p0=p0, t_end=t_end, hamiltonian=hamiltonian,
-        vectorized=True,
-    )
-    return ProblemSpec(
-        name="klein-gordon",
-        params={"n": n, "t_end": t_end, "length": length, "amplitude": amp},
-        ivp=ivp,
-        potential=potential,
-    )
+    params = {"n": n, "t_end": t_end, "length": length, "amplitude": amp}
+    return _spec("klein-gordon", params, M, force, q0, np.zeros(n), t_end, potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +221,8 @@ def wave_problem(n: int = 40, t_end: float = 10.0) -> ProblemSpec:
     def exact_solution(t: float) -> tuple[np.ndarray, np.ndarray]:
         return a * math.cos(10.0 * t), -10.0 * a * math.sin(10.0 * t)
 
-    ivp = OscillatoryIVP(
-        M=M, force=force, q0=a.copy(), p0=np.zeros(d), t_end=t_end, vectorized=True,
-    )
-    return ProblemSpec(
-        name="wave",
-        params={"n": n, "t_end": t_end},
-        ivp=ivp,
-        exact_solution=exact_solution,
-        notes="nonsymmetric M; exact solution a(x) cos(10 t).",
-    )
+    return _spec("wave", {"n": n, "t_end": t_end}, M, force, a.copy(), np.zeros(d), t_end,
+                 exact_solution=exact_solution)
 
 
 PROBLEMS: dict[str, Callable[..., ProblemSpec]] = {

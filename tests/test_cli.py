@@ -369,6 +369,41 @@ def test_convergence_retries_a_refused_reference(tmp_path, capsys):
     assert 3.5 < float(capsys.readouterr().err.split(":")[1]) < 4.5
 
 
+def test_convergence_takes_a_coarse_step_list(tmp_path, capsys):
+    # the reference starts at 8 / min(h) = 80 substeps per unit; its
+    # self-check reads 1.24e-10 > 1e-10 at 640 and first passes at 1280,
+    # the fourth retry
+    out = tmp_path / "conv.csv"
+    code = run([
+        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+        "--h-list", "0.4,0.2,0.1", "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    est = integrator.estimate_order(
+        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.4, 0.2, 0.1]
+    )
+    _, rows = read_csv(out)
+    assert [float(r[1]) for r in rows] == est.errors.tolist()
+    assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
+
+
+def test_coarse_step_list_retries_up_to_a_fixed_substep_count(monkeypatch, capsys):
+    calls = []
+
+    def refuse(ivp, per_unit, node_set=None):
+        calls.append(per_unit)
+        raise OracleUnreliableError("refused")
+
+    monkeypatch.setattr(integrator, "reference_solve", refuse)
+    code = run([
+        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+        "--h-list", "0.4,0.2,0.1",
+    ])
+    assert code == cli.EXIT_USAGE
+    assert calls == [80, 160, 320, 640, 1280, 2560]
+    assert calls[-1] * 2 > integrator.REFERENCE_MAX_PER_UNIT
+
+
 def test_convergence_gives_up_after_three_retries(monkeypatch, capsys):
     calls = []
 

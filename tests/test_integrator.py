@@ -918,6 +918,23 @@ def test_energy_series_for_harmonic_oscillator():
     assert traj.energy_drift().max() < 1e-11
 
 
+@pytest.mark.parametrize("h_omega", [1.5, 4.0, 8.0, 2.0 * math.pi], ids=["1.5", "4", "8", "2pi"])
+def test_energy_error_off_and_at_numerical_resonance(h_omega):
+    # fpu at omega = 50, Gauss-2.  Off resonance the energy error is bounded:
+    # its largest value over t <= 200 is already reached by t = 100.  At
+    # h omega = 2 pi it grows without bound, a known limitation of the
+    # unfiltered method (numerical resonance of trigonometric integrators,
+    # Hairer, Lubich & Wanner, Geometric Numerical Integration, XIII).
+    ivp = build_problem("fpu", omega=50.0, t_end=200.0).ivp
+    traj = it.solve(ivp, SolverConfig(h=h_omega / 50.0), node_set=lg.gauss2())
+    drift = traj.energy_drift()
+    first_half = drift[traj.t <= 100.0].max()
+    if h_omega == 2.0 * math.pi:
+        assert drift.max() >= 2.0 * first_half
+    else:
+        assert drift.max() == first_half
+
+
 def test_invariant_series_requires_skew_matrix():
     with pytest.raises(ValueError):
         OscillatoryIVP(

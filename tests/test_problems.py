@@ -203,12 +203,19 @@ def test_fpu_matrix_structure():
     assert np.abs(p0).sum() == 2.0
 
 
-def test_klein_gordon_matrix_structure():
-    spec = build_problem("klein-gordon")
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_klein_gordon_matrix_structure(n):
+    # for n <= 2 both neighbours of a node are one node (itself at n = 1),
+    # so their entries must add up, not overwrite each other
+    spec = build_problem("klein-gordon", n=n)
     M = spec.ivp.M
     assert np.abs(M - M.T).max() == 0.0
     assert np.abs(M.sum(axis=1)).max() < 1e-9
     assert np.linalg.eigvalsh(M).min() > -1e-9
+    eye = np.eye(n)
+    dx = spec.params["length"] / n
+    circulant = (2.0 * eye - np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)) / dx**2
+    assert np.allclose(M, circulant, rtol=0.0, atol=1e-12 * np.abs(circulant).max())
     assert np.all(spec.ivp.q0 >= 0.0)
     assert np.all(spec.ivp.p0 == 0.0)
 
