@@ -48,10 +48,15 @@ the map that mode promises.
 Everything a step needs besides its arithmetic stays the same for a whole
 solve: the operators, the buffers and their views, the force in its
 batched form, and the contraction guard.  A private _Stepper holds them for
-one (table, ivp, cfg), so ``solve`` builds one stepper for its full steps and one for a trailing
-partial step, and each step then only runs the products above in place.
-``step`` and ``fixed_point_stages`` are one-shot wrappers over the same
-stepper, so the sweep and both tests exist in one place.
+one (table, ivp, cfg), so ``solve`` builds one stepper for its full steps
+and one for a trailing partial step, and each step then only runs the
+products above in place.  The stage times are formed once per solve too:
+``solve`` fills the grid times t_k = (k - 1) h + h and every full step's
+(s, 1) column t_k + c_i h with one vector operation each, bit for bit as
+the scalar forms, and hands each step its column.  ``step`` and
+``fixed_point_stages`` are one-shot wrappers over the same stepper that
+form their column from their t, so the sweep and both tests exist in one
+place.
 """
 
 from __future__ import annotations
@@ -232,9 +237,11 @@ class _Stepper:
     Everything that stays the same from step to step is done here once: the
     contraction guard, the batched form of the force, the validation of a
     given ``forces`` buffer, and the allocation of every buffer and view a
-    step writes.  ``stages`` and
-    ``advance`` then do only the arithmetic of the module docstring.  The
-    table must be built for cfg.h, as solve's are; step checks its caller's.
+    step writes.  ``stages`` and ``advance`` then do only the arithmetic of
+    the module docstring.  They take a step's stage times as the (s, 1)
+    column t + table.stage_offsets, which solve forms once per solve for all
+    its full steps.  The table must be built for cfg.h, as solve's are; step
+    checks its caller's.
 
     The state [q; p] a step starts from is ``y``, with halves ``q`` and
     ``p``; ``load`` sets it, and ``advance`` leaves the new state there.
@@ -277,7 +284,6 @@ class _Stepper:
         self.table = table
         self.cfg = cfg
         self.forces = forces
-        self.stage_t = np.empty((s, 1))
         self._n = n
         self._force = ivp.force if ivp.vectorized else _batched_force(ivp.force)
         self._fixed_mode = cfg.iteration_mode == "fixed"
@@ -286,11 +292,15 @@ class _Stepper:
         self._guess = np.empty(n)
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
         # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
-        # pair holding (new - previous, new); rows 4-5 take their magnitudes.
+        # pair holding (new - previous, new); rows 4-5 take their magnitudes,
+        # whose row maxima (residual, size) go to _size_res.  Each parity's
+        # (rows, new, new as (s, d)) is prepared here, so a sweep indexes once.
         work = np.empty((6, n))
-        self._pairs = (work[0:2], work[2:4])
-        self._news_sd = (work[1].reshape(s, d), work[3].reshape(s, d))
+        self._sweep_bufs = tuple(
+            (rows, rows[1], rows[1].reshape(s, d)) for rows in (work[0:2], work[2:4])
+        )
         self._magnitude = work[4:6]
+        self._size_res = np.empty(2)
         self._update = np.empty(2 * d)
         # two [q; p] buffers with their halves: a step reads one, writes the other
         self._states = tuple((y, y[:d], y[d:]) for y in np.empty((2, 2 * d)))
@@ -302,16 +312,17 @@ class _Stepper:
         self.q[...] = q
         self.p[...] = p
 
-    def stages(self, t: float, start: np.ndarray | None = None):
-        """Solve the stage system of a step from (t, y); returns (stages,
-        iterations, residual_history) as fixed_point_stages does, which
-        documents the iteration and what ``self.forces`` holds on return."""
+    def stages(self, stage_t: np.ndarray, start: np.ndarray | None = None):
+        """Solve the stage system of a step from y, with stage times
+        ``stage_t`` (the (s, 1) column t + table.stage_offsets); returns
+        (stages, iterations, residual_history) as fixed_point_stages does,
+        which documents the iteration and what ``self.forces`` holds on
+        return."""
         table = self.table
         forces = self.forces
         flat_forces = self._flat_forces
         stage_matrix = table.stage_matrix
         pred = table.predictor.dot(self.y, self._pred)
-        stage_t = np.add(table.stage_offsets, t, self.stage_t)
         if start is None:
             stages = pred
             stages_sd = self._initial_sd[0]
@@ -319,9 +330,10 @@ class _Stepper:
             stages = stage_matrix.dot(start.reshape(self._n), self._guess)
             stages += pred
             stages_sd = self._initial_sd[1]
-        pairs = self._pairs
-        news_sd = self._news_sd
+        sweep_bufs = self._sweep_bufs
         magnitude = self._magnitude
+        size_res = self._size_res
+        maximum_reduce = np.maximum.reduce
         force = self._force
         history: list[float] = []
         fixed_mode = self._fixed_mode
@@ -336,14 +348,12 @@ class _Stepper:
         # (numpy 2.4, one BLAS thread).  Keep these forms.
         for sweep in range(1, max_iter + 1):
             forces[...] = force(stage_t, stages_sd)
-            odd = sweep & 1
-            rows = pairs[odd]
-            new = rows[1]
+            rows, new, new_sd = sweep_bufs[sweep & 1]
             stage_matrix.dot(flat_forces, new)
             new += pred
             np.subtract(new, stages, rows[0])
             np.abs(rows, magnitude)
-            res, size = np.maximum.reduce(magnitude, 1).tolist()
+            res, size = maximum_reduce(magnitude, 1, None, size_res).tolist()
             history.append(res)
             if not math.isfinite(res):
                 raise StageIterationError(
@@ -353,7 +363,7 @@ class _Stepper:
                     iterations=sweep,
                 )
             stages = new
-            stages_sd = news_sd[odd]
+            stages_sd = new_sd
             if fixed_mode:
                 continue
             bound = tol * (1.0 + size)
@@ -375,12 +385,13 @@ class _Stepper:
             iterations=max_iter,
         )
 
-    def advance(self, t: float, start: np.ndarray | None = None):
-        """One step from (t, y): the new state replaces y, q and p; returns
-        what ``stages`` returns.  The update is step's."""
-        stages, iterations, history = self.stages(t, start)
+    def advance(self, stage_t: np.ndarray, start: np.ndarray | None = None):
+        """One step from y with stage times ``stage_t``: the new state
+        replaces y, q and p; returns what ``stages`` returns.  The update
+        is step's."""
+        stages, iterations, history = self.stages(stage_t, start)
         if self._fixed_mode:
-            self.forces[...] = self._force(self.stage_t, stages)
+            self.forces[...] = self._force(stage_t, stages)
         y_new, q_new, p_new = self._states[self._next]
         # the operator products as in stages: ndarray.dot, not `@`
         self.table.propagator.dot(self.y, y_new)
@@ -421,7 +432,7 @@ def fixed_point_stages(
     """
     stepper = _Stepper(table, ivp, cfg, forces=forces)
     stepper.load(q, p)
-    return stepper.stages(t, start)
+    return stepper.stages(table.stage_offsets + t, start)
 
 
 def step(
@@ -451,7 +462,7 @@ def step(
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
     stepper = _Stepper(table, ivp, cfg, forces=forces)
     stepper.load(q, p)
-    stages, iters, history = stepper.advance(t, start)
+    stages, iters, history = stepper.advance(table.stage_offsets + t, start)
     return StepResult(
         t=t + cfg.h,
         q=stepper.q,
@@ -483,8 +494,10 @@ def solve(
     """Integrate to t_end on a uniform grid (plus one trailing partial step).
 
     One coefficient table and one _Stepper serve all full steps; a trailing
-    partial step gets its own table and stepper.  In tolerance mode every full step after the first
-    starts its stage iteration from the previous step's force interpolant
+    partial step gets its own table and stepper.  The grid times and the
+    stage times of all full steps are formed before the first step.  In
+    tolerance mode every full step after the first starts its stage
+    iteration from the previous step's force interpolant
     (start = node_set.extrapolation @ F_prev); the first step, a trailing
     partial step and fixed mode start from the predictor.
     """
@@ -499,38 +512,41 @@ def solve(
     p_out = np.empty((n_steps + 1, d))
     iters = np.zeros(n_steps, dtype=int)
     resid = np.zeros(n_steps)
+    h = cfg.h
     t_out[0] = 0.0
+    # the grid times k h + h, bit for bit as Python's k * h + h
+    t_out[1:n_full + 1] = np.arange(n_full) * h + h
     q_out[0] = ivp.q0
     p_out[0] = ivp.p0
-    h = cfg.h
-    t, q, p = 0.0, ivp.q0, ivp.p0
     extrapolation = ns.extrapolation if cfg.iteration_mode == "tolerance" else None
     start = None
     k = 0
     try:
         if n_full:
-            stepper = _Stepper(build_table(ns, ivp.M, h), ivp, cfg)
-            stepper.load(q, p)
+            table = build_table(ns, ivp.M, h)
+            stepper = _Stepper(table, ivp, cfg)
+            stepper.load(ivp.q0, ivp.p0)
+            # each full step's (s, 1) stage times t_k + c_i h, formed as step forms them
+            stage_times = t_out[:n_full, None, None] + table.stage_offsets
             advance = stepper.advance
             forces = stepper.forces
             start_buf = np.empty_like(forces)
-            for _ in range(n_full):
-                _, n_sweeps, history = advance(t, start)
+            q_next, p_next = q_out[1:], p_out[1:]
+            for k in range(n_full):
+                _, n_sweeps, history = advance(stage_times[k], start)
                 if extrapolation is not None:
                     start = extrapolation.dot(forces, start_buf)
-                t = k * h + h
-                k += 1
-                t_out[k], q_out[k], p_out[k] = t, stepper.q, stepper.p
-                iters[k - 1], resid[k - 1] = n_sweeps, history[-1]
-            q, p = stepper.q, stepper.p
+                q_next[k], p_next[k] = stepper.q, stepper.p
+                iters[k], resid[k] = n_sweeps, history[-1]
+        k = n_full
         if h_last:
             cfg_last = replace(cfg, h=h_last)
-            stepper = _Stepper(build_table(ns, ivp.M, h_last), ivp, cfg_last)
-            stepper.load(q, p)
-            _, n_sweeps, history = stepper.advance(t)
-            k += 1
-            t_out[k], q_out[k], p_out[k] = ivp.t_end, stepper.q, stepper.p
-            iters[k - 1], resid[k - 1] = n_sweeps, history[-1]
+            table = build_table(ns, ivp.M, h_last)
+            stepper = _Stepper(table, ivp, cfg_last)
+            stepper.load(q_out[k], p_out[k])
+            _, n_sweeps, history = stepper.advance(table.stage_offsets + t_out[k])
+            t_out[k + 1], q_out[k + 1], p_out[k + 1] = ivp.t_end, stepper.q, stepper.p
+            iters[k], resid[k] = n_sweeps, history[-1]
     except StageIterationError as exc:
         exc.step_index = k
         raise
@@ -609,17 +625,23 @@ def endpoint_errors(
     """
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
     if reference is None:
-        per_unit = int(math.ceil(8.0 / hs.min()))
+        first = per_unit = int(math.ceil(8.0 / hs.min()))
         most = max(per_unit * 2**REFERENCE_RETRIES, REFERENCE_MAX_PER_UNIT)
         ref_nodes = node_set if node_set.s >= 2 else lg.gauss2()
         while True:
             try:
                 reference = reference_solve(ivp, per_unit, node_set=ref_nodes)
                 break
-            except OracleUnreliableError:
+            except OracleUnreliableError as exc:
+                if 2 * per_unit > most:
+                    # reference_solve's advice names its own argument, which
+                    # this policy sets; say which substep counts were tried
+                    raise OracleUnreliableError(
+                        f"reference solve refused at {first} to {per_unit} substeps"
+                        f" per unit (doubling stops at {most}): step doubling moved"
+                        f" the endpoint by more than {REFERENCE_CHECK_TOL:.3g}"
+                    ) from exc
                 per_unit *= 2
-                if per_unit > most:
-                    raise
     if isinstance(reference, Trajectory):
         ref_q, ref_p = reference.q[-1], reference.p[-1]
     else:

@@ -421,6 +421,20 @@ def test_convergence_gives_up_after_three_retries(monkeypatch, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_convergence_refused_at_the_cap_names_its_substeps(monkeypatch, capsys):
+    # the command sets the reference's substeps from --h-list; its error must
+    # not ask for a setting it does not have
+    monkeypatch.setattr(integrator, "REFERENCE_CHECK_TOL", 0.0)
+    code = run([
+        "convergence", "--problem", "fpu", "--t-end", "0.1",
+        "--h-list", "0.05,0.025,0.0125",
+    ])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "refused at 640 to 5120 substeps per unit (doubling stops at 5120)" in err
+    assert "n_substeps_per_unit" not in err
+
+
 def test_solver_failure_exits_with_code_3(capsys):
     code = run([
         "solve", "--problem", "fpu", "--h", "0.5", "--t-end", "1.0",

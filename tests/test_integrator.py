@@ -833,6 +833,40 @@ def test_grid_partial_final_step():
     assert abs(traj.q[-1, 0] - math.cos(1.0)) < 1e-12
 
 
+def test_solve_grid_times_are_k_h_plus_h_bit_for_bit():
+    # 10 000 full steps: each time is formed as (k - 1) * h + h, not summed
+    h = 0.01
+    traj = it.solve(replace(build_problem("fpu").ivp, t_end=100.0), SolverConfig(h=h))
+    assert traj.t.size == 10_001 and traj.t[0] == 0.0
+    assert traj.t[1:].tolist() == [(k - 1) * h + h for k in range(1, 10_001)]
+    # a trailing partial step ends on t_end exactly
+    traj = it.solve(replace(build_problem("fpu").ivp, t_end=0.105), SolverConfig(h=h))
+    assert traj.t.tolist() == [0.0] + [(k - 1) * h + h for k in range(1, 11)] + [0.105]
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_forces_see_the_stage_times_step_forms(vectorized):
+    # every step's force calls get t_k + c_i h, formed as np.add(offsets, t_k)
+    # from the grid time t_k, on the full steps and the trailing partial one
+    spec = build_problem("fpu", t_end=0.105)
+    seen = []
+
+    def force(t, x):
+        seen.append(tuple(np.ravel(t).tolist()))
+        return spec.ivp.force(t, x)
+
+    ivp = replace(spec.ivp, force=force, vectorized=vectorized)
+    h, ns = 0.01, lg.gauss_nodes(3)
+    it.solve(ivp, SolverConfig(h=h), node_set=ns)
+    if not vectorized:  # one call per stage: regroup them by sweep
+        seen = [sum(seen[i:i + ns.s], ()) for i in range(0, len(seen), ns.s)]
+    per_step = [times for k, times in enumerate(seen) if k == 0 or times != seen[k - 1]]
+    offsets = cf.build_table(ns, ivp.M, h).stage_offsets
+    want = [np.add(offsets, 0.0 if k == 0 else (k - 1) * h + h) for k in range(10)]
+    want.append(np.add(cf.build_table(ns, ivp.M, 0.105 - 10 * h).stage_offsets, 9 * h + h))
+    assert per_step == [tuple(w.ravel().tolist()) for w in want]
+
+
 def test_time_reversal_round_trip():
     spec_force = lambda t, q: np.array([math.sin(q[0])])
     ivp = OscillatoryIVP(
@@ -960,6 +994,21 @@ def test_reference_solve_self_check():
     # on a grid too coarse for the check tolerance the oracle refuses
     with pytest.raises(OracleUnreliableError):
         it.reference_solve(ivp, 64)
+
+
+def test_a_reference_refused_at_the_cap_names_the_substeps_it_tried(monkeypatch):
+    # every step-doubling check fails at tol 0: 8 / 0.0125 = 640 substeps per
+    # unit, doubled to 5120 = 640 * 2**3, where the retries stop
+    monkeypatch.setattr(it, "REFERENCE_CHECK_TOL", 0.0)
+    ivp = build_problem("fpu", t_end=0.1).ivp
+    with pytest.raises(OracleUnreliableError) as err:
+        it.estimate_order(ivp, [0.05, 0.025, 0.0125])
+    msg = str(err.value)
+    assert "refused at 640 to 5120 substeps per unit (doubling stops at 5120)" in msg
+    assert "n_substeps_per_unit" not in msg
+    # reference_solve's own refusal is chained, with its own message
+    assert isinstance(err.value.__cause__, OracleUnreliableError)
+    assert "increase n_substeps_per_unit" in str(err.value.__cause__)
 
 
 def test_reference_solve_scalar_cosine():

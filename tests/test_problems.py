@@ -248,3 +248,42 @@ def test_only_wave_reports_an_exact_solution():
         else:
             assert spec.exact_solution is None
             assert spec.ivp.hamiltonian is not None
+
+
+def test_polynomial_forces_match_their_power_forms_to_a_few_ulp():
+    # The registered forces form cubes and fifth powers by multiplication;
+    # np.power rounds each power once, products two or three times.
+    rng = np.random.default_rng(RNG_SEED)
+    eps = np.finfo(float).eps
+    t = rng.uniform(0.0, 2.0, (1000, 1))
+
+    m = 3
+    fpu = build_problem("fpu", m=m).ivp
+    G = np.stack([fpu_gaps_by_spring(e, m) for e in np.eye(2 * m)], axis=1)
+    x = 2.0 * rng.standard_normal((1000, 2 * m))
+    e = x @ G.T
+    got, want = fpu.force(t, x), (e**3) @ -G
+    assert np.all(np.abs(got - want) <= 4 * eps * (np.abs(e) ** 3 @ np.abs(G)))
+
+    kg = build_problem("klein-gordon", n=8).ivp
+    u = 2.0 * rng.standard_normal((1000, 8))
+    got, want = kg.force(t, u), -(u + u**3)
+    assert np.all(np.abs(got - want) <= 4 * eps * (np.abs(u) + np.abs(u) ** 3))
+
+    wave = build_problem("wave", n=9).ivp
+    a = wave.q0
+    u = 2.0 * rng.standard_normal((1000, 8))
+    drive = 0.25 * a**5 * np.sin(20.0 * t) ** 2 * np.cos(10.0 * t)
+    got, want = wave.force(t, u), u**5 - a**2 * u**3 + drive
+    size = np.abs(u) ** 5 + a**2 * np.abs(u) ** 3 + np.abs(drive)
+    assert np.all(np.abs(got - want) <= 4 * eps * size)
+
+
+def test_wave_drive_is_bit_for_bit_the_unhoisted_expression():
+    # at u = 0 the force is its drive alone, exactly
+    wave = build_problem("wave", n=16).ivp
+    a = wave.q0
+    for t in (0.0, 0.123, 1.7, np.array([[0.05], [0.3], [2.9]])):
+        u = np.zeros((np.size(t), a.size)) if np.ndim(t) else np.zeros(a.size)
+        want = 0.25 * a**5 * np.sin(20.0 * t) ** 2 * np.cos(10.0 * t)
+        assert np.array_equal(wave.force(t, u), want)
