@@ -114,14 +114,12 @@ def cmd_solve(manifest: RunManifest) -> int:
     d = ivp.dim
     cols = ["t"] + [f"q{k+1}" for k in range(d)] + [f"p{k+1}" for k in range(d)]
     cols.append("iterations")
-    if traj.energy is not None:
-        cols.append("energy")
-    if traj.invariant is not None:
-        cols.append("invariant")
     # one %-template per row over Python floats ("%d" prints the iteration
     # count, exact as a float, as an integer; "%.16e" matches fmt)
     columns = [traj.t[:, None], traj.q, traj.p, np.concatenate([[0], traj.iterations])[:, None]]
-    columns += [x[:, None] for x in (traj.energy, traj.invariant) if x is not None]
+    if traj.energy is not None:
+        cols.append("energy")
+        columns.append(traj.energy[:, None])
     template = ",".join(["%.16e"] * (1 + 2 * d) + ["%d"] + ["%.16e"] * (len(columns) - 4)) + "\n"
     pieces = [",".join(cols) + "\n"]
     pieces += [template % tuple(row) for row in np.hstack(columns).tolist()]

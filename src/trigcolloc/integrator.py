@@ -48,13 +48,13 @@ the map that mode promises.
 Everything a step needs besides its arithmetic stays the same for a whole
 solve: the operators, the buffers and their views, the force in its
 batched form, and the contraction guard.  A private _Stepper holds them for
-one (table, ivp, cfg), so ``solve`` builds one stepper for its full steps
-and one for a trailing partial step, and each step then only runs the
-products above in place.  The stage times are formed once per solve too:
-``solve`` fills the grid times t_k = (k - 1) h + h and every full step's
-(s, 1) column t_k + c_i h with one vector operation each, bit for bit as
-the scalar forms, and hands each step its column.  ``step`` and
-``fixed_point_stages`` are one-shot wrappers over the same stepper that
+one (table, ivp, cfg), so ``solve`` runs its full steps and a trailing
+partial step as two runs of one loop, each with its own stepper, and each
+step then only runs the products above in place.  The stage times are
+formed once per run too: ``solve`` fills the grid times t_k = (k - 1) h + h
+and every step's (s, 1) column t_k + c_i h with one vector operation each,
+bit for bit as the scalar forms, and hands each step its column.  ``step``
+and ``fixed_point_stages`` are one-shot wrappers over the same stepper that
 form their column from their t, so the sweep and both tests exist in one
 place.
 """
@@ -187,6 +187,7 @@ class StepResult:
     iterations: int
     residual: float
     stages: np.ndarray
+    forces: np.ndarray
 
 
 @dataclass
@@ -235,28 +236,23 @@ class _Stepper:
     """The steps of one (table, ivp, cfg): operators, buffers and checks.
 
     Everything that stays the same from step to step is done here once: the
-    contraction guard, the batched form of the force, the validation of a
-    given ``forces`` buffer, and the allocation of every buffer and view a
-    step writes.  ``stages`` and ``advance`` then do only the arithmetic of
-    the module docstring.  They take a step's stage times as the (s, 1)
-    column t + table.stage_offsets, which solve forms once per solve for all
-    its full steps.  The table must be built for cfg.h, as solve's are; step
-    checks its caller's.
+    contraction guard, the batched form of the force, and the allocation of
+    every buffer and view a step writes.  ``stages`` and ``advance`` then do
+    only the arithmetic of the module docstring.  They take a step's stage
+    times as the (s, 1) column t + table.stage_offsets, which solve forms
+    once per run of steps.  The table must be built for cfg.h, as solve's
+    are; step checks its caller's.
 
     The state [q; p] a step starts from is ``y``, with halves ``q`` and
     ``p``; ``load`` sets it, and ``advance`` leaves the new state there.
-    Two state buffers take turns, so the arrays ``y``, ``q``, ``p`` and the
-    stages a step returns are overwritten by later steps: copy what must
-    outlive the next step.
+    ``forces`` is the (s, d) buffer F that each sweep fills; after
+    ``advance`` it holds the forces the update used (see step).  Two state
+    buffers take turns, so the arrays ``y``, ``q``, ``p``, ``forces`` and
+    the stages a step returns are overwritten by later steps: copy what
+    must outlive the next step.
     """
 
-    def __init__(
-        self,
-        table: CoefficientTable,
-        ivp: OscillatoryIVP,
-        cfg: SolverConfig,
-        forces: np.ndarray | None = None,
-    ):
+    def __init__(self, table: CoefficientTable, ivp: OscillatoryIVP, cfg: SolverConfig):
         h = cfg.h
         ns = table.node_set
         if ivp.lipschitz is not None:
@@ -268,26 +264,13 @@ class _Stepper:
                 )
         s, d = ns.s, table.dim
         n = s * d
-        if forces is None:
-            forces = np.empty((s, d))
-        elif (
-            forces.shape != (s, d)
-            or forces.dtype != np.float64
-            or not forces.flags.c_contiguous
-        ):
-            # reshape would copy such a buffer, and the sweeps would read stale forces
-            layout = "C-contiguous" if forces.flags.c_contiguous else "non-contiguous"
-            raise ValueError(
-                f"forces must be a C-contiguous float64 ({s}, {d}) array,"
-                f" got a {layout} {forces.dtype} {forces.shape} one"
-            )
         self.table = table
         self.cfg = cfg
-        self.forces = forces
         self._n = n
         self._force = ivp.force if ivp.vectorized else _batched_force(ivp.force)
         self._fixed_mode = cfg.iteration_mode == "fixed"
-        self._flat_forces = forces.reshape(n)
+        self._flat_forces = np.empty(n)
+        self.forces = self._flat_forces.reshape(s, d)
         self._pred = np.empty(n)
         self._guess = np.empty(n)
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
@@ -316,8 +299,7 @@ class _Stepper:
         """Solve the stage system of a step from y, with stage times
         ``stage_t`` (the (s, 1) column t + table.stage_offsets); returns
         (stages, iterations, residual_history) as fixed_point_stages does,
-        which documents the iteration and what ``self.forces`` holds on
-        return."""
+        which documents the iteration."""
         table = self.table
         forces = self.forces
         flat_forces = self._flat_forces
@@ -408,7 +390,6 @@ def fixed_point_stages(
     q: np.ndarray,
     p: np.ndarray,
     cfg: SolverConfig,
-    forces: np.ndarray | None = None,
     start: np.ndarray | None = None,
 ):
     """Solve the stage system; returns (stages, iterations, residual_history).
@@ -421,16 +402,12 @@ def fixed_point_stages(
     stages to predictor @ [q; p] + stage_matrix @ F; one max-reduction over
     |new - previous| and |new| gives both the residual and the size that
     scales the tolerance.  In tolerance mode the stages are accepted by the
-    residual test or the contraction test (see the module docstring).
-    ``forces``, if given, is that buffer and must be a C-contiguous float64
-    (s, d) array (else ValueError): on return it holds the forces the
-    update uses, those of the last sweep (evaluated at the iterate before
-    the returned stages) after the residual test or in fixed mode, and
-    those at the returned stages after the contraction test.  A sweep
-    whose residual is not finite raises StageIterationError with the
-    residual history.  One call is one step of a one-shot _Stepper.
+    residual test or the contraction test (see the module docstring).  A
+    sweep whose residual is not finite raises StageIterationError with the
+    residual history.  One call is the stage solve of one step of a
+    one-shot _Stepper; step returns the forces its update takes from it.
     """
-    stepper = _Stepper(table, ivp, cfg, forces=forces)
+    stepper = _Stepper(table, ivp, cfg)
     stepper.load(q, p)
     return stepper.stages(table.stage_offsets + t, start)
 
@@ -442,34 +419,27 @@ def step(
     q: np.ndarray,
     p: np.ndarray,
     cfg: SolverConfig,
-    forces: np.ndarray | None = None,
     start: np.ndarray | None = None,
 ) -> StepResult:
     """Advance one step of size cfg.h from (t, q, p).
 
-    Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F.  In
-    tolerance mode F is what fixed_point_stages leaves in ``forces``: the
+    Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F, with
+    the (s, d) stage forces F as ``forces``.  In tolerance mode F is the
     forces of the accepting sweep after the residual test (no extra force
     call), the forces at the returned stages after the contraction test;
     in fixed mode F is evaluated once more at the final stages, so the map
-    is the collocation update at the returned stage values.  ``forces``
-    (a C-contiguous float64 (s, d) buffer, holding F on return) and
-    ``start`` (an (s, d) force guess for the first stage iterate) are
-    passed on to the stage iteration.  Each call is one step of a one-shot
-    _Stepper, the stepper that solve runs for all its steps.
+    is the collocation update at the returned stage values.  ``start`` (an
+    (s, d) force guess for the first stage iterate) is passed on to the
+    stage iteration.  Each call is one step of a one-shot _Stepper, the
+    stepper that solve runs for all its steps.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
-    stepper = _Stepper(table, ivp, cfg, forces=forces)
+    stepper = _Stepper(table, ivp, cfg)
     stepper.load(q, p)
     stages, iters, history = stepper.advance(table.stage_offsets + t, start)
     return StepResult(
-        t=t + cfg.h,
-        q=stepper.q,
-        p=stepper.p,
-        iterations=iters,
-        residual=history[-1] if history else 0.0,
-        stages=stages,
+        t + cfg.h, stepper.q, stepper.p, iters, history[-1], stages, stepper.forces
     )
 
 
@@ -493,11 +463,11 @@ def solve(
 ) -> Trajectory:
     """Integrate to t_end on a uniform grid (plus one trailing partial step).
 
-    One coefficient table and one _Stepper serve all full steps; a trailing
-    partial step gets its own table and stepper.  The grid times and the
-    stage times of all full steps are formed before the first step.  In
-    tolerance mode every full step after the first starts its stage
-    iteration from the previous step's force interpolant
+    The steps run in two runs, the full steps and a trailing partial step,
+    each with its own coefficient table and _Stepper and with the stage
+    times of all its steps formed before its first.  In tolerance mode
+    every step of a run after its first starts its stage iteration from
+    the previous step's force interpolant
     (start = node_set.extrapolation @ F_prev); the first step, a trailing
     partial step and fixed mode start from the predictor.
     """
@@ -516,37 +486,32 @@ def solve(
     t_out[0] = 0.0
     # the grid times k h + h, bit for bit as Python's k * h + h
     t_out[1:n_full + 1] = np.arange(n_full) * h + h
+    if h_last:
+        t_out[-1] = ivp.t_end
     q_out[0] = ivp.q0
     p_out[0] = ivp.p0
+    q_next, p_next = q_out[1:], p_out[1:]
     extrapolation = ns.extrapolation if cfg.iteration_mode == "tolerance" else None
-    start = None
     k = 0
     try:
-        if n_full:
-            table = build_table(ns, ivp.M, h)
-            stepper = _Stepper(table, ivp, cfg)
-            stepper.load(ivp.q0, ivp.p0)
-            # each full step's (s, 1) stage times t_k + c_i h, formed as step forms them
-            stage_times = t_out[:n_full, None, None] + table.stage_offsets
+        for first, stop, h_run in ((0, n_full, h), (n_full, n_steps, h_last)):
+            if first == stop:
+                continue
+            table = build_table(ns, ivp.M, h_run)
+            stepper = _Stepper(table, ivp, replace(cfg, h=h_run))
+            stepper.load(q_out[first], p_out[first])
+            # each step's (s, 1) stage times t_k + c_i h, formed as step forms them
+            stage_times = t_out[first:stop, None, None] + table.stage_offsets
             advance = stepper.advance
             forces = stepper.forces
             start_buf = np.empty_like(forces)
-            q_next, p_next = q_out[1:], p_out[1:]
-            for k in range(n_full):
-                _, n_sweeps, history = advance(stage_times[k], start)
+            start = None
+            for k, stage_t in enumerate(stage_times, first):
+                _, n_sweeps, history = advance(stage_t, start)
                 if extrapolation is not None:
                     start = extrapolation.dot(forces, start_buf)
                 q_next[k], p_next[k] = stepper.q, stepper.p
                 iters[k], resid[k] = n_sweeps, history[-1]
-        k = n_full
-        if h_last:
-            cfg_last = replace(cfg, h=h_last)
-            table = build_table(ns, ivp.M, h_last)
-            stepper = _Stepper(table, ivp, cfg_last)
-            stepper.load(q_out[k], p_out[k])
-            _, n_sweeps, history = stepper.advance(table.stage_offsets + t_out[k])
-            t_out[k + 1], q_out[k + 1], p_out[k + 1] = ivp.t_end, stepper.q, stepper.p
-            iters[k], resid[k] = n_sweeps, history[-1]
     except StageIterationError as exc:
         exc.step_index = k
         raise

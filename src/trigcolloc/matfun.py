@@ -49,10 +49,6 @@ class SpectralDecomposition:
     transform: np.ndarray
     freqs: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.freqs)
-
 
 def sinc(x):
     """sin(x)/x with a 4-term Taylor branch near zero (array-safe)."""

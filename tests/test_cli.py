@@ -121,6 +121,14 @@ def test_energy_zero_force_drift_is_roundoff(tmp_path, capsys):
     assert "max energy drift:" in capsys.readouterr().err
 
 
+def test_energy_refuses_a_problem_without_energy(capsys):
+    code = run(["energy", "--problem", "wave", "--h", "0.01", "--t-end", "0.1"])
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: problem 'wave' defines no energy\n"
+
+
 def test_coeffs_scalar_matrix_reports_tiny_defects(tmp_path):
     out = tmp_path / "coeffs.csv"
     code = run([

@@ -165,30 +165,6 @@ def test_nonfinite_stage_residual_fails_at_once(mode):
     assert "residual history" in str(err.value)
 
 
-@pytest.mark.parametrize("forces", [
-    np.zeros((6, 2)).T,                       # Fortran order
-    np.zeros((2, 12))[:, ::2],                # strided
-    np.zeros((2, 6), dtype=np.float32),
-    np.zeros((3, 6)),
-], ids=["transposed", "strided", "float32", "wrong-shape"])
-def test_step_rejects_a_forces_buffer_it_cannot_fill_in_place(forces):
-    # such a buffer would reshape to a copy, and the sweeps would read forces
-    # that never change: on fpu the step would accept after 1 sweep instead
-    # of 3, with q 7.8e-9 off
-    ivp = build_problem("fpu").ivp
-    table = cf.build_table(lg.gauss2(), ivp.M, 0.01)
-    cfg = SolverConfig(h=0.01)
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg, forces=forces)
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        it.fixed_point_stages(table, ivp, 0.0, ivp.q0, ivp.p0, cfg, forces=forces)
-    own = it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
-    given = np.zeros((2, 6))
-    r = it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg, forces=given)
-    assert (r.iterations, own.iterations) == (3, 3)
-    assert np.array_equal(r.q, own.q) and np.array_equal(r.p, own.p)
-
-
 def test_step_rejects_a_table_built_for_another_step():
     # the stage iteration alone does not use the table's h in an update
     ivp = build_problem("fpu").ivp
@@ -409,9 +385,8 @@ def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
     # contraction test
     converged = per_sweep_stages(table, ivp, t, q0, p0, replace(cfg, max_iter=50))[3]
     for start in (None, guess, converged):
-        forces = np.empty((s, d))
         stages, iters, history = it.fixed_point_stages(
-            table, ivp, t, q0, p0, cfg, forces=forces, start=start
+            table, ivp, t, q0, p0, cfg, start=start
         )
         want_stages, want_iters, want_history, want_forces = per_sweep_stages(
             table, ivp, t, q0, p0, cfg, start=start
@@ -419,6 +394,11 @@ def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
         # a max of |x| does not round, so one reduction changes no bit
         assert np.array_equal(stages, want_stages)
         assert (iters, history) == (want_iters, want_history)
+        forces = it.step(table, ivp, t, q0, p0, cfg, start=start).forces
+        if mode == "fixed":
+            # the update evaluates the forces once more at the final stages
+            stage_t = t + table.node_set.nodes * h
+            want_forces = np.stack([force(stage_t[j], stages[j]) for j in range(s)])
         assert np.array_equal(forces, want_forces)
         if mode == "tolerance":
             bound = cfg.tol * (1.0 + np.abs(stages).max())
@@ -535,17 +515,16 @@ def warm_step_loop(ivp, cfg, ns):
     residuals) per grid point."""
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
     table = cf.build_table(ns, ivp.M, cfg.h)
-    forces = np.empty((ns.s, ivp.dim))
     t, q, p, start = 0.0, ivp.q0.copy(), ivp.p0.copy(), None
     qs, ps, iters, resid = [q], [p], [], []
     for k in range(n_full):
-        r = it.step(table, ivp, t, q, p, cfg, forces=forces, start=start)
-        start = ns.extrapolation @ forces
+        r = it.step(table, ivp, t, q, p, cfg, start=start)
+        start = ns.extrapolation @ r.forces
         t, q, p = k * cfg.h + cfg.h, r.q, r.p
         qs.append(q), ps.append(p), iters.append(r.iterations), resid.append(r.residual)
     if h_last:
         table = cf.build_table(ns, ivp.M, h_last)
-        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last), forces=forces)
+        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last))
         qs.append(r.q), ps.append(r.p), iters.append(r.iterations), resid.append(r.residual)
     return np.array(qs), np.array(ps), np.array(iters), np.array(resid)
 
@@ -570,20 +549,19 @@ def step_loop(ivp, cfg, ns):
     of the step before; the times are solve's, t = k h + h after step k.
     Returns (q, p, iterations, residuals) per grid point."""
     n_full, h_last = it._grid(ivp.t_end, cfg.h)
-    forces = np.empty((ns.s, ivp.dim))
     t, q, p, start = 0.0, ivp.q0, ivp.p0, None
     qs, ps, iters, resid = [q], [p], [], []
     if n_full:
         table = cf.build_table(ns, ivp.M, cfg.h)
     for k in range(n_full):
-        r = it.step(table, ivp, t, q, p, cfg, forces=forces, start=start)
+        r = it.step(table, ivp, t, q, p, cfg, start=start)
         if cfg.iteration_mode == "tolerance":
-            start = ns.extrapolation @ forces
+            start = ns.extrapolation @ r.forces
         t, q, p = k * cfg.h + cfg.h, r.q, r.p
         qs.append(q), ps.append(p), iters.append(r.iterations), resid.append(r.residual)
     if h_last:
         table = cf.build_table(ns, ivp.M, h_last)
-        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last), forces=forces)
+        r = it.step(table, ivp, t, q, p, replace(cfg, h=h_last))
         qs.append(r.q), ps.append(r.p), iters.append(r.iterations), resid.append(r.residual)
     return np.array(qs), np.array(ps), np.array(iters), np.array(resid)
 
@@ -842,6 +820,20 @@ def test_solve_grid_times_are_k_h_plus_h_bit_for_bit():
     # a trailing partial step ends on t_end exactly
     traj = it.solve(replace(build_problem("fpu").ivp, t_end=0.105), SolverConfig(h=h))
     assert traj.t.tolist() == [0.0] + [(k - 1) * h + h for k in range(1, 11)] + [0.105]
+
+
+def test_solve_of_only_a_partial_step_is_one_cold_step():
+    # t_end < h: the run of full steps is empty and the partial step is the
+    # whole solve
+    ivp = replace(build_problem("fpu").ivp, t_end=0.004)
+    cfg = SolverConfig(h=0.01)
+    traj = it.solve(ivp, cfg)
+    assert traj.t.tolist() == [0.0, 0.004]
+    assert traj.iterations.shape == (1,)
+    table = cf.build_table(lg.gauss2(), ivp.M, 0.004)
+    r = it.step(table, ivp, 0.0, ivp.q0, ivp.p0, replace(cfg, h=0.004))
+    assert traj.iterations[0] == r.iterations
+    assert np.array_equal(traj.q[-1], r.q) and np.array_equal(traj.p[-1], r.p)
 
 
 @pytest.mark.parametrize("vectorized", [True, False])
