@@ -251,8 +251,9 @@ def one_step_operators(c, h, b_q, b_p, A, phi0, phi1, p_block):
 
       predictor     (s*d, 2d)   block row i:    [phi0(c_i^2 V) | c_i h phi1(c_i^2 V)]
       stage_matrix  (s*d, s*d)  block (i, j):   (c_i h)^2 A[i, j]
-      propagator    (2d, 2d)    [[phi0(V), h phi1(V)], [p_block, phi0(V)]]
-      force_matrix  (2d, s*d)   block column j: [h^2 b_q[j]; h b_p[j]]
+      update        (2d, 2d + s*d)  [propagator | force_matrix], acting on [y; F]:
+        propagator    (2d, 2d)    [[phi0(V), h phi1(V)], [p_block, phi0(V)]]
+        force_matrix  (2d, s*d)   block column j: [h^2 b_q[j]; h b_p[j]]
 
     from the weights b_q, b_p (..., s, d, d) and A (..., s, s, d, d), phi0
     and phi1 at (c h)^2 M for c in (1, c_1, ..., c_s) (..., s + 1, d, d),
@@ -264,26 +265,26 @@ def one_step_operators(c, h, b_q, b_p, A, phi0, phi1, p_block):
     predictor = np.concatenate((phi0[..., 1:, :, :], ch * phi1[..., 1:, :, :]), -1)
     stage_matrix = ((ch * ch)[..., None] * A).swapaxes(-3, -2)
     # written in place: at d = 256 concatenating these costs 10 % of a table build
-    propagator = np.empty(batch + (2, d, 2, d))
-    propagator[..., 0, :, 0, :] = propagator[..., 1, :, 1, :] = phi0[..., 0, :, :]
-    np.multiply(h, phi1[..., 0, :, :], out=propagator[..., 0, :, 1, :])
-    propagator[..., 1, :, 0, :] = p_block
-    force_matrix = np.empty(batch + (2, d, len(c), d))
-    np.multiply(h * h, b_q.swapaxes(-3, -2), out=force_matrix[..., 0, :, :, :])
-    np.multiply(h, b_p.swapaxes(-3, -2), out=force_matrix[..., 1, :, :, :])
+    update = np.empty(batch + (2, d, 2 + len(c), d))
+    update[..., 0, :, 0, :] = update[..., 1, :, 1, :] = phi0[..., 0, :, :]
+    np.multiply(h, phi1[..., 0, :, :], out=update[..., 0, :, 1, :])
+    update[..., 1, :, 0, :] = p_block
+    np.multiply(h * h, b_q.swapaxes(-3, -2), out=update[..., 0, :, 2:, :])
+    np.multiply(h, b_p.swapaxes(-3, -2), out=update[..., 1, :, 2:, :])
     return (predictor.reshape(batch + (sd, 2 * d)), stage_matrix.reshape(batch + (sd, sd)),
-            propagator.reshape(batch + (2 * d, 2 * d)), force_matrix.reshape(batch + (2 * d, sd)))
+            update.reshape(batch + (2 * d, 2 * d + sd)))
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """The one-step map for one (nodes, M, h) combination.
 
-    It holds the four flat operators of one_step_operators and
-    ``stage_offsets``, the (s, 1) column c_i h, so that a step from t
-    evaluates its stage forces at the times t + stage_offsets.  The blocks
-    the operators are built from (lifted_blocks) are not kept.  Tables are
-    immutable; reuse one per (nodes, M, h).
+    It holds the three operators of one_step_operators and ``stage_offsets``,
+    the (s, 1) column c_i h, so that a step from t evaluates its stage forces
+    at the times t + stage_offsets.  ``propagator`` and ``force_matrix`` are
+    views of update's two column blocks.  The blocks the operators are built
+    from (lifted_blocks) are not kept.  Tables are immutable; reuse one per
+    (nodes, M, h).
     """
 
     node_set: lg.NodeSet
@@ -292,13 +293,20 @@ class CoefficientTable:
     path: str
     predictor: np.ndarray
     stage_matrix: np.ndarray
-    propagator: np.ndarray
-    force_matrix: np.ndarray
+    update: np.ndarray
     stage_offsets: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
+
+    @property
+    def propagator(self) -> np.ndarray:
+        return self.update[:, : 2 * self.dim]
+
+    @property
+    def force_matrix(self) -> np.ndarray:
+        return self.update[:, 2 * self.dim :]
 
 
 def lifted_blocks(ns: lg.NodeSet, M: np.ndarray, h: float, path: str = "auto") -> tuple:

@@ -10,7 +10,7 @@ CoefficientTable, applied to y = [q; p] and to the stacked stage forces
 F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
 
   stages  Q = predictor @ y + stage_matrix @ F(Q)     (fixed-point sweeps)
-  update  [q_new; p_new] = propagator @ y + force_matrix @ F
+  update  [q_new; p_new] = propagator @ y + force_matrix @ F = update @ [y; F]
 
 Each sweep fills F with one force call on all s stages (a per-row force is
 wrapped into that call, which calls it once per stage).  Tolerance mode
@@ -48,15 +48,20 @@ the map that mode promises.
 Everything a step needs besides its arithmetic stays the same for a whole
 solve: the operators, the buffers and their views, the force in its
 batched form, and the contraction guard.  A private _Stepper holds them for
-one (table, ivp, cfg), so ``solve`` runs its full steps and a trailing
-partial step as two runs of one loop, each with its own stepper, and each
-step then only runs the products above in place.  The stage times are
-formed once per run too: ``solve`` fills the grid times t_k = (k - 1) h + h
-and every step's (s, 1) column t_k + c_i h with one vector operation each,
-bit for bit as the scalar forms, and hands each step its column.  ``step``
-and ``fixed_point_stages`` are one-shot wrappers over the same stepper that
-form their column from their t, so the sweep and both tests exist in one
-place.
+one (table, ivp, cfg), and its ``run`` runs every step of a run in one loop:
+the sweeps and both tests, the update as one product, the warm start, each
+step's sweep count and last residual, and the step index a failure names.
+``solve`` makes two runs, its full steps and a trailing partial step, each
+with its own stepper.  The stage times are formed once per run too:
+``solve`` fills the grid times t_k = (k - 1) h + h and every step's (s, 1)
+column t_k + c_i h with one vector operation each, bit for bit as the
+scalar forms.  ``step`` and ``fixed_point_stages`` are one-step runs of the
+same loop that form their column from their t, so the sweep, both tests
+and the update exist in one place.
+
+No step tests its new state.  A non-finite one makes the next step's first
+sweep fail, naming the step whose update made it; a run's last state is
+tested once.
 """
 
 from __future__ import annotations
@@ -237,19 +242,19 @@ class _Stepper:
 
     Everything that stays the same from step to step is done here once: the
     contraction guard, the batched form of the force, and the allocation of
-    every buffer and view a step writes.  ``stages`` and ``advance`` then do
-    only the arithmetic of the module docstring.  They take a step's stage
-    times as the (s, 1) column t + table.stage_offsets, which solve forms
-    once per run of steps.  The table must be built for cfg.h, as solve's
-    are; step checks its caller's.
+    every buffer and view a step writes.  ``run`` then runs a whole run of
+    steps in one loop that does only the arithmetic of the module docstring.
+    The table must be built for cfg.h, as solve's are; step checks its
+    caller's.
 
-    The state [q; p] a step starts from is ``y``, with halves ``q`` and
-    ``p``; ``load`` sets it, and ``advance`` leaves the new state there.
-    ``forces`` is the (s, d) buffer F that each sweep fills; after
-    ``advance`` it holds the forces the update used (see step).  Two state
-    buffers take turns, so the arrays ``y``, ``q``, ``p``, ``forces`` and
-    the stages a step returns are overwritten by later steps: copy what
-    must outlive the next step.
+    The state y = [q; p] a step starts from and the (s, d) stage forces F
+    that its sweeps fill lie next to each other in one buffer z = [y; F],
+    so that the update is the one product table.update @ z.  Two such
+    buffers take turns: a step writes its new state into the y of the
+    other, where the next step starts, and copies its halves into the
+    output rows.  The stages and forces run returns are views into the
+    buffers, which later runs overwrite: copy what must outlive the next
+    run.
     """
 
     def __init__(self, table: CoefficientTable, ivp: OscillatoryIVP, cfg: SolverConfig):
@@ -269,11 +274,18 @@ class _Stepper:
         self._n = n
         self._force = ivp.force if ivp.vectorized else _batched_force(ivp.force)
         self._fixed_mode = cfg.iteration_mode == "fixed"
-        self._flat_forces = np.empty(n)
-        self.forces = self._flat_forces.reshape(s, d)
+        # Step j uses buffer j % 2: its (z, y, F flat, F as (s, d)) and the other's
+        # (y, q, p), prepared per parity.  One (n + 1, 2d) output for the update
+        # would save a row copy, but kept 1 MiB more resident on fpu-chain.
+        bufs = [(z, z[: 2 * d], z[2 * d :], z[2 * d :].reshape(s, d))
+                for z in np.empty((2, 2 * d + n))]
+        self._turns = tuple(
+            bufs[j] + (bufs[1 - j][1], bufs[1 - j][1][:d], bufs[1 - j][1][d:]) for j in (0, 1)
+        )
         self._pred = np.empty(n)
         self._guess = np.empty(n)
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
+        self._warm_sd = np.empty((s, d))  # the extrapolated forces E @ F
         # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
         # pair holding (new - previous, new); rows 4-5 take their magnitudes,
         # whose row maxima (residual, size) go to _size_res.  Each parity's
@@ -284,103 +296,127 @@ class _Stepper:
         )
         self._magnitude = work[4:6]
         self._size_res = np.empty(2)
-        self._update = np.empty(2 * d)
-        # two [q; p] buffers with their halves: a step reads one, writes the other
-        self._states = tuple((y, y[:d], y[d:]) for y in np.empty((2, 2 * d)))
-        self.y, self.q, self.p = self._states[0]
-        self._next = 1
 
-    def load(self, q: np.ndarray, p: np.ndarray) -> None:
-        """Set the state the next step starts from."""
-        self.q[...] = q
-        self.p[...] = p
+    def run(self, stage_times, q_out, p_out, iterations, residuals, first=0, start=None):
+        """Run one step per (s, 1) stage-time column t_k + table.stage_offsets
+        in ``stage_times``, from the state (q_out[0], p_out[0]).
 
-    def stages(self, stage_t: np.ndarray, start: np.ndarray | None = None):
-        """Solve the stage system of a step from y, with stage times
-        ``stage_t`` (the (s, 1) column t + table.stage_offsets); returns
-        (stages, iterations, residual_history) as fixed_point_stages does,
-        which documents the iteration."""
+        Step j writes its new state into q_out[j + 1] and p_out[j + 1], its
+        sweep count into iterations[j] and its last residual into
+        residuals[j], and is step first + j of a solve in a
+        StageIterationError.  The first step starts its stage iteration from
+        the (s, d) force guess ``start`` (None: the predictor), later ones in
+        tolerance mode from the step before's extrapolated forces.  Returns
+        the last step's (stages, forces, residual_history), the forces being
+        those its update used; fixed_point_stages documents the iteration.
+        """
         table = self.table
-        forces = self.forces
-        flat_forces = self._flat_forces
-        stage_matrix = table.stage_matrix
-        pred = table.predictor.dot(self.y, self._pred)
-        if start is None:
-            stages = pred
-            stages_sd = self._initial_sd[0]
-        else:
-            stages = stage_matrix.dot(start.reshape(self._n), self._guess)
-            stages += pred
-            stages_sd = self._initial_sd[1]
+        predictor, stage_matrix, update = table.predictor, table.stage_matrix, table.update
+        extrapolation = None if self._fixed_mode else table.node_set.extrapolation
+        turns = self._turns
+        pred, guess = self._pred, self._guess
+        pred_sd, guess_sd = self._initial_sd
+        warm_sd = self._warm_sd
+        warm = warm_sd.reshape(self._n)
+        if start is not None:
+            start = np.reshape(start, self._n)
         sweep_bufs = self._sweep_bufs
         magnitude = self._magnitude
         size_res = self._size_res
         maximum_reduce = np.maximum.reduce
         force = self._force
-        history: list[float] = []
         fixed_mode = self._fixed_mode
         tol = self.cfg.tol
         max_iter = self.cfg.max_iter
-        prev = 0.0
+        q0, p0 = turns[1][5:]  # the halves of buffer 0's y, where step 0 starts
+        q0[...], p0[...] = q_out[0], p_out[0]
         # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
         # dispatch, not arithmetic, sets its cost.  On a 12x12 operator
         # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
         # np.matmul(..., out=), with the same bits, and a ufunc given out= or
         # axis= by keyword takes 0.1-0.2 us more than one given them by position
         # (numpy 2.4, one BLAS thread).  Keep these forms.
-        for sweep in range(1, max_iter + 1):
-            forces[...] = force(stage_t, stages_sd)
-            rows, new, new_sd = sweep_bufs[sweep & 1]
-            stage_matrix.dot(flat_forces, new)
-            new += pred
-            np.subtract(new, stages, rows[0])
-            np.abs(rows, magnitude)
-            res, size = maximum_reduce(magnitude, 1, None, size_res).tolist()
-            history.append(res)
-            if not math.isfinite(res):
-                raise StageIterationError(
-                    f"stage residual is not finite at sweep {sweep}"
-                    f" (residual history {', '.join(f'{r:.3g}' for r in history)})",
-                    residual=res,
-                    iterations=sweep,
-                )
-            stages = new
-            stages_sd = new_sd
-            if fixed_mode:
-                continue
-            bound = tol * (1.0 + size)
-            if res <= bound:
-                return stages_sd, sweep, history
-            # prev = 0 fails this at sweep 1 and keeps it out of the division.
-            if res < CONTRACTION_MAX * prev:
-                theta = res / prev
-                if theta / (1.0 - theta) * res <= bound:
-                    forces[...] = force(stage_t, stages_sd)
-                    return stages_sd, sweep, history
-            prev = res
-        if fixed_mode:
-            return stages_sd, max_iter, history
-        raise StageIterationError(
-            f"stage iteration did not reach tol {tol:.3g} within "
-            f"{max_iter} sweeps (last residual {history[-1]:.3g})",
-            residual=history[-1],
-            iterations=max_iter,
-        )
+        for j, (stage_t, q_row, p_row) in enumerate(zip(stage_times, q_out[1:], p_out[1:])):
+            z, y, flat_forces, forces, y_new, q_new, p_new = turns[j & 1]
+            predictor.dot(y, pred)
+            if start is None:
+                stages, stages_sd = pred, pred_sd
+            else:
+                stages = stage_matrix.dot(start, guess)
+                stages += pred
+                stages_sd = guess_sd
+            history = []
+            prev = 0.0
+            for sweep in range(1, max_iter + 1):
+                forces[...] = force(stage_t, stages_sd)
+                rows, new, new_sd = sweep_bufs[sweep & 1]
+                stage_matrix.dot(flat_forces, new)
+                new += pred
+                np.subtract(new, stages, rows[0])
+                np.abs(rows, magnitude)
+                res, size = maximum_reduce(magnitude, 1, None, size_res).tolist()
+                history.append(res)
+                if not math.isfinite(res):
+                    if sweep == 1 and j and not np.isfinite(y).all():
+                        # the state this step starts from is already not finite
+                        raise _update_error(first + j - 1, iterations[j - 1], residuals[j - 1])
+                    raise StageIterationError(
+                        f"stage residual is not finite at sweep {sweep}"
+                        f" (residual history {', '.join(f'{r:.3g}' for r in history)})",
+                        residual=res, iterations=sweep, step_index=first + j,
+                    )
+                stages, stages_sd = new, new_sd
+                if fixed_mode:
+                    continue
+                bound = tol * (1.0 + size)
+                if res <= bound:
+                    break
+                # prev = 0 fails this at sweep 1 and keeps it out of the division.
+                if res < CONTRACTION_MAX * prev:
+                    theta = res / prev
+                    if theta / (1.0 - theta) * res <= bound:
+                        forces[...] = force(stage_t, stages_sd)
+                        break
+                prev = res
+            else:
+                if not fixed_mode:
+                    raise StageIterationError(
+                        f"stage iteration did not reach tol {tol:.3g} within "
+                        f"{max_iter} sweeps (last residual {res:.3g})",
+                        residual=res, iterations=max_iter, step_index=first + j,
+                    )
+                forces[...] = force(stage_t, stages_sd)
+            update.dot(z, y_new)
+            q_row[...] = q_new
+            p_row[...] = p_new
+            iterations[j] = sweep
+            residuals[j] = res
+            if extrapolation is not None:
+                start = warm
+                extrapolation.dot(forces, warm_sd)
+        if not np.isfinite(y_new).all():
+            raise _update_error(first + j, sweep, res)
+        return stages_sd, forces, history
 
-    def advance(self, stage_t: np.ndarray, start: np.ndarray | None = None):
-        """One step from y with stage times ``stage_t``: the new state
-        replaces y, q and p; returns what ``stages`` returns.  The update
-        is step's."""
-        stages, iterations, history = self.stages(stage_t, start)
-        if self._fixed_mode:
-            self.forces[...] = self._force(stage_t, stages)
-        y_new, q_new, p_new = self._states[self._next]
-        # the operator products as in stages: ndarray.dot, not `@`
-        self.table.propagator.dot(self.y, y_new)
-        y_new += self.table.force_matrix.dot(self._flat_forces, self._update)
-        self._next = 1 - self._next
-        self.y, self.q, self.p = y_new, q_new, p_new
-        return stages, iterations, history
+
+def _update_error(step_index, iterations, residual) -> StageIterationError:
+    """The failure of a step whose update gave a non-finite state."""
+    return StageIterationError(
+        f"the update gave a non-finite state after {iterations} sweeps"
+        f" (last residual {residual:.3g})",
+        residual=float(residual), iterations=int(iterations), step_index=step_index,
+    )
+
+
+def _one_step(table, ivp, t, q, p, cfg, start):
+    """A one-step run from (t, q, p): (q_new, p_new, stages, forces, history)."""
+    q_out, p_out = np.empty((2, table.dim)), np.empty((2, table.dim))
+    q_out[0], p_out[0] = q, p
+    stage_times = (table.stage_offsets + t)[None]
+    stages, forces, history = _Stepper(table, ivp, cfg).run(
+        stage_times, q_out, p_out, np.empty(1, int), np.empty(1), 0, start
+    )
+    return q_out[1], p_out[1], stages, forces, history
 
 
 def fixed_point_stages(
@@ -404,12 +440,11 @@ def fixed_point_stages(
     scales the tolerance.  In tolerance mode the stages are accepted by the
     residual test or the contraction test (see the module docstring).  A
     sweep whose residual is not finite raises StageIterationError with the
-    residual history.  One call is the stage solve of one step of a
-    one-shot _Stepper; step returns the forces its update takes from it.
+    residual history.  One call is a one-step run of _Stepper, the loop
+    solve runs, so it makes that step's update too and fails as it does.
     """
-    stepper = _Stepper(table, ivp, cfg)
-    stepper.load(q, p)
-    return stepper.stages(table.stage_offsets + t, start)
+    _, _, stages, _, history = _one_step(table, ivp, t, q, p, cfg, start)
+    return stages, len(history), history
 
 
 def step(
@@ -423,24 +458,21 @@ def step(
 ) -> StepResult:
     """Advance one step of size cfg.h from (t, q, p).
 
-    Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F, with
-    the (s, d) stage forces F as ``forces``.  In tolerance mode F is the
-    forces of the accepting sweep after the residual test (no extra force
-    call), the forces at the returned stages after the contraction test;
-    in fixed mode F is evaluated once more at the final stages, so the map
-    is the collocation update at the returned stage values.  ``start`` (an
-    (s, d) force guess for the first stage iterate) is passed on to the
-    stage iteration.  Each call is one step of a one-shot _Stepper, the
-    stepper that solve runs for all its steps.
+    Returns [q_new; p_new] = propagator @ [q; p] + force_matrix @ F, formed
+    as the one product update @ [q; p; F], with the (s, d) stage forces F as
+    ``forces``.  In tolerance mode F is the forces of the accepting sweep
+    after the residual test (no extra force call), the forces at the
+    returned stages after the contraction test; in fixed mode F is
+    evaluated once more at the final stages, so the map is the collocation
+    update at the returned stage values.  ``start`` (an (s, d) force guess
+    for the first stage iterate) is passed on to the stage iteration.  Each
+    call is a one-step run of _Stepper, the loop that solve runs for all
+    its steps; a non-finite new state raises StageIterationError.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")
-    stepper = _Stepper(table, ivp, cfg)
-    stepper.load(q, p)
-    stages, iters, history = stepper.advance(table.stage_offsets + t, start)
-    return StepResult(
-        t + cfg.h, stepper.q, stepper.p, iters, history[-1], stages, stepper.forces
-    )
+    q_new, p_new, stages, forces, history = _one_step(table, ivp, t, q, p, cfg, start)
+    return StepResult(t + cfg.h, q_new, p_new, len(history), history[-1], stages, forces)
 
 
 def _grid(t_end: float, h: float) -> tuple[int, float]:
@@ -464,7 +496,7 @@ def solve(
     """Integrate to t_end on a uniform grid (plus one trailing partial step).
 
     The steps run in two runs, the full steps and a trailing partial step,
-    each with its own coefficient table and _Stepper and with the stage
+    each one _Stepper.run over its own coefficient table, with the stage
     times of all its steps formed before its first.  In tolerance mode
     every step of a run after its first starts its stage iteration from
     the previous step's force interpolant
@@ -488,33 +520,17 @@ def solve(
     t_out[1:n_full + 1] = np.arange(n_full) * h + h
     if h_last:
         t_out[-1] = ivp.t_end
-    q_out[0] = ivp.q0
-    p_out[0] = ivp.p0
-    q_next, p_next = q_out[1:], p_out[1:]
-    extrapolation = ns.extrapolation if cfg.iteration_mode == "tolerance" else None
-    k = 0
-    try:
-        for first, stop, h_run in ((0, n_full, h), (n_full, n_steps, h_last)):
-            if first == stop:
-                continue
-            table = build_table(ns, ivp.M, h_run)
-            stepper = _Stepper(table, ivp, replace(cfg, h=h_run))
-            stepper.load(q_out[first], p_out[first])
-            # each step's (s, 1) stage times t_k + c_i h, formed as step forms them
-            stage_times = t_out[first:stop, None, None] + table.stage_offsets
-            advance = stepper.advance
-            forces = stepper.forces
-            start_buf = np.empty_like(forces)
-            start = None
-            for k, stage_t in enumerate(stage_times, first):
-                _, n_sweeps, history = advance(stage_t, start)
-                if extrapolation is not None:
-                    start = extrapolation.dot(forces, start_buf)
-                q_next[k], p_next[k] = stepper.q, stepper.p
-                iters[k], resid[k] = n_sweeps, history[-1]
-    except StageIterationError as exc:
-        exc.step_index = k
-        raise
+    q_out[0], p_out[0] = ivp.q0, ivp.p0
+    for first, stop, h_run in ((0, n_full, h), (n_full, n_steps, h_last)):
+        if first == stop:
+            continue
+        table = build_table(ns, ivp.M, h_run)
+        # each step's (s, 1) stage times t_k + c_i h, formed as step forms them
+        stage_times = t_out[first:stop, None, None] + table.stage_offsets
+        _Stepper(table, ivp, replace(cfg, h=h_run)).run(
+            stage_times, q_out[first:stop + 1], p_out[first:stop + 1],
+            iters[first:stop], resid[first:stop], first,
+        )
     energy = None
     if ivp.hamiltonian is not None:
         hamiltonian = ivp.hamiltonian

@@ -2,8 +2,8 @@
 
 With V = (h w)^2 and z = h^2 * eps, one integrator step at h = 1 on
 q'' + V q = -z q maps (q, p) to S (q, p).  Its stages Q = P y - z K Q and
-update y' = R y - z B Q, with P, K, R and B the predictor, stage_matrix,
-propagator and force_matrix of coeffs.one_step_operators on 1 x 1 blocks,
+update y' = R y - z B Q, with P, K, R and B the predictor, stage_matrix and
+update's propagator and force_matrix columns of coeffs.one_step_operators at d = 1,
 give S = R - z B (I + z K)^-1 P once the stage iteration has converged.
 At z = 0 S is the exact rotation R.  Symmetric nodes c_i = 1 - c_(s+1-i)
 give det S = 1 to round-off (Hairer, Lubich & Wanner, Geometric Numerical
@@ -108,7 +108,8 @@ def _stability_batch(ns: lg.NodeSet, vs: np.ndarray, zs: np.ndarray) -> np.ndarr
     s = ns.s
     # the 1 x 1 table's rows at h = 1, with V as the batch axis
     blocks = scalar_blocks(ns, 1.0, np.sqrt(vs)).T[..., None, None]
-    P, K, R, B = one_step_operators(ns.nodes, 1.0, *unstack_blocks(ns, blocks))
+    P, K, U = one_step_operators(ns.nodes, 1.0, *unstack_blocks(ns, blocks))
+    R, B = U[..., :2], U[..., 2:]  # propagator and force_matrix
     N = np.eye(s) + zs[:, None, None] * K[:, None]
     singular = _singular(N.reshape(-1, s, s))
     if np.count_nonzero(singular):

@@ -452,6 +452,20 @@ def test_solver_failure_exits_with_code_3(capsys):
     assert "solver failed at step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_end", ["4", "8"])
+def test_solve_names_the_step_whose_update_is_not_finite(t_end, capsys):
+    # step 0's update overflows; a second step would fail on its first sweep
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([
+            "solve", "--problem", "fpu", "--h", "4", "--t-end", t_end,
+            "--iteration-mode", "fixed", "--max-iter", "5",
+        ])
+    assert code == cli.EXIT_SOLVER
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("solver failed at step 0: the update gave a non-finite state")
+
+
 def test_manifest_round_trip():
     parser = cli.build_parser()
     args = parser.parse_args([

@@ -330,6 +330,21 @@ def test_table_shapes_and_scalings():
 
 
 @pytest.mark.parametrize("path", ["spectral", "series"])
+def test_propagator_and_force_matrix_are_views_of_the_update(path):
+    # one (2d, 2d + s*d) update and no second copy of its blocks
+    ns, d, h = lg.gauss_nodes(3), 4, 0.2
+    M = np.diag([1.0, 4.0, 9.0, 16.0]) + 0.1
+    table = cf.build_table(ns, M, h, path=path)
+    _, _, (b_q, b_p, _, phi0, phi1, p_block) = cf.lifted_blocks(ns, M, h, path)
+    propagator = np.block([[phi0[0], h * phi1[0]], [p_block, phi0[0]]])
+    force_matrix = np.block([[h * h * b for b in b_q], [h * b for b in b_p]])
+    assert table.update.shape == (2 * d, 2 * d + ns.s * d)
+    for view, want in ((table.propagator, propagator), (table.force_matrix, force_matrix)):
+        assert np.shares_memory(view, table.update)
+        assert np.array_equal(view, want)
+
+
+@pytest.mark.parametrize("path", ["spectral", "series"])
 @pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7], [0.1, 0.5, 0.9]])
 def test_table_keeps_no_phi_or_p_block_rows_alive(path, nodes):
     # no array of the table keeps a larger buffer alive, and the table holds

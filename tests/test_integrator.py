@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -261,9 +260,45 @@ def test_vectorized_solve_matches_per_row_solve(name, h, mode):
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
+class ForceSpy:
+    """A force that records each call's stage values and result.
+
+    ``steps`` groups the calls into sweeps (one vectorized call, or s
+    per-row calls) and the sweeps into steps by their stage-time column,
+    which changes from each step to the next: one list per step of
+    (stages, forces) pairs, each (s, d).
+    """
+
+    def __init__(self, force, s, vectorized):
+        self.force, self.s, self.vectorized = force, s, vectorized
+        self.calls = []
+
+    def __call__(self, t, q):
+        f = self.force(t, q)
+        # the stepper reuses its buffers, so keep copies
+        self.calls.append((np.ravel(t).tolist(), np.array(q), np.array(f)))
+        return f
+
+    def steps(self):
+        calls, s = self.calls, self.s
+        if not self.vectorized:
+            calls = [
+                (sum((c[0] for c in calls[i:i + s]), []),
+                 np.stack([c[1] for c in calls[i:i + s]]),
+                 np.stack([c[2] for c in calls[i:i + s]]))
+                for i in range(0, len(calls), s)
+            ]
+        steps = []  # (stage times, sweeps)
+        for times, stages, forces in calls:
+            if not steps or times != steps[-1][0]:
+                steps.append((times, []))
+            steps[-1][1].append((stages.reshape(s, -1), forces.reshape(s, -1)))
+        return [sweeps for _, sweeps in steps]
+
+
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
 @pytest.mark.parametrize("vectorized", [True, False])
-def test_force_and_energy_calls_per_step(monkeypatch, vectorized, mode):
+def test_force_and_energy_calls_per_step(vectorized, mode):
     s, d, n_steps, max_iter = 3, 2, 5, 4
     M = np.diag([1.0, 4.0])
     calls = {"force": 0, "hamiltonian": 0}
@@ -281,27 +316,16 @@ def test_force_and_energy_calls_per_step(monkeypatch, vectorized, mode):
             - 0.5 * np.cos(q).sum(axis=-1)
         )
 
+    spy = ForceSpy(force, s, vectorized)
     ivp = OscillatoryIVP(
-        M=M, force=force, q0=[0.3, -0.2], p0=[0.1, 0.4], t_end=0.5,
+        M=M, force=spy, q0=[0.3, -0.2], p0=[0.1, 0.4], t_end=0.5,
         hamiltonian=hamiltonian, vectorized=vectorized,
     )
     cfg = SolverConfig(h=0.5 / n_steps, iteration_mode=mode,
                        max_iter=max_iter if mode == "fixed" else 50)
-    steps = []  # (step record, force calls the step made)
-    plain_advance = it._Stepper.advance
-
-    def recording_advance(self, t, start=None):
-        before = calls["force"]
-        stages, iterations, history = plain_advance(self, t, start)
-        # the stepper reuses its buffers, so keep copies
-        r = SimpleNamespace(
-            iterations=iterations, residual=history[-1], stages=stages.copy()
-        )
-        steps.append((r, calls["force"] - before))
-        return stages, iterations, history
-
-    monkeypatch.setattr(it._Stepper, "advance", recording_advance)
-    traj = it.solve(ivp, cfg, node_set=lg.gauss_nodes(s))
+    ns = lg.gauss_nodes(s)
+    traj = it.solve(ivp, cfg, node_set=ns)
+    steps = spy.steps()  # per step, one (stages, forces) per force evaluation
     assert len(steps) == n_steps
     rows_per_call = s if vectorized else 1
     if mode == "fixed":
@@ -310,13 +334,18 @@ def test_force_and_energy_calls_per_step(monkeypatch, vectorized, mode):
         stage_rows = s * (max_iter + 1) * n_steps
     else:
         assert np.all(traj.iterations > 1)
+        table = cf.build_table(ns, M, cfg.h)
         extra = []
-        for r, n_calls in steps:
+        for k, sweeps in enumerate(steps):
+            # the returned stages, from the state the step started at and the
+            # forces of its last sweep
+            n_sweeps = traj.iterations[k]
+            y = np.concatenate((traj.q[k], traj.p[k]))
+            stages = table.predictor @ y + table.stage_matrix @ sweeps[n_sweeps - 1][1].ravel()
             # the residual test reuses the forces of the accepting sweep;
             # the contraction test evaluates them once at the final stages
-            contraction = r.residual > cfg.tol * (1.0 + np.abs(r.stages).max())
-            sweeps = n_calls * rows_per_call / s
-            extra.append(sweeps - r.iterations)
+            contraction = traj.residuals[k] > cfg.tol * (1.0 + np.abs(stages).max())
+            extra.append(len(sweeps) - n_sweeps)
             assert extra[-1] == (1 if contraction else 0)
         assert 1 in extra
         stage_rows = s * int(traj.iterations.sum() + sum(extra))
@@ -486,26 +515,28 @@ def test_warm_started_solve_matches_cold_step_loop(name, h, mode):
 
 
 @pytest.mark.parametrize("mode", ["tolerance", "fixed"])
-def test_solve_warm_starts_full_steps_from_extrapolated_forces(monkeypatch, mode):
-    calls = []
-    plain_advance = it._Stepper.advance
-
-    def recording_advance(self, t, start=None):
-        r = plain_advance(self, t, start)
-        calls.append((self.table.h, None if start is None else start.copy(), self.forces.copy()))
-        return r
-
-    monkeypatch.setattr(it._Stepper, "advance", recording_advance)
+def test_solve_warm_starts_full_steps_from_extrapolated_forces(mode):
     ns = lg.gauss_nodes(3)
     ivp = replace(build_problem("fpu").ivp, t_end=0.105)
-    it.solve(ivp, SolverConfig(h=0.01, iteration_mode=mode), node_set=ns)
-    assert len(calls) == 11 and calls[-1][0] != 0.01
-    for k, (h, start, _) in enumerate(calls):
+    spy = ForceSpy(ivp.force, ns.s, ivp.vectorized)
+    traj = it.solve(replace(ivp, force=spy), SolverConfig(h=0.01, iteration_mode=mode), node_set=ns)
+    steps = spy.steps()
+    h_last = it._grid(ivp.t_end, 0.01)[1]
+    assert len(steps) == 11 and h_last != 0.01
+    for k, sweeps in enumerate(steps):
+        h = 0.01 if k < 10 else h_last
+        table = cf.build_table(ns, ivp.M, h)
+        # the first iterate is predictor @ y + stage_matrix @ start, or the
+        # predictor alone without a start
+        first_iterate = sweeps[0][0].ravel()
+        pred = table.predictor @ np.concatenate((traj.q[k], traj.p[k]))
         if mode == "fixed" or k == 0 or h != 0.01:
             # the first step, the trailing partial step and fixed mode start cold
-            assert start is None
+            assert np.array_equal(first_iterate, pred)
         else:
-            assert np.array_equal(start, ns.extrapolation @ calls[k - 1][2])
+            # the update of the step before used the forces of its last call
+            start = ns.extrapolation @ steps[k - 1][-1][1]
+            assert np.array_equal(first_iterate, pred + table.stage_matrix @ start.ravel())
 
 
 def warm_step_loop(ivp, cfg, ns):
@@ -659,6 +690,29 @@ def test_stage_iteration_failure_after_some_steps_carries_its_step(
     assert err.value.iterations == 1
     assert math.isnan(err.value.residual)
     assert "residual history nan" in str(err.value)
+
+
+@pytest.mark.parametrize("t_end", [4.0, 8.0])
+def test_a_non_finite_update_fails_naming_its_step(t_end):
+    # fpu at h = 4 in fixed mode: the 5 sweeps of step 0 stay finite, but the
+    # forces its update evaluates at the final stages overflow, so its new
+    # state is not finite.  With one step the run's last state is tested;
+    # with two, step 1's first sweep fails on that state and names step 0
+    ivp = replace(build_problem("fpu").ivp, t_end=t_end)
+    cfg = SolverConfig(h=4.0, iteration_mode="fixed", max_iter=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StageIterationError) as err:
+            it.solve(ivp, cfg)
+        assert err.value.step_index == 0
+        assert err.value.iterations == 5
+        assert math.isfinite(err.value.residual)
+        assert "non-finite state" in str(err.value)
+        # a step call is a one-step run and fails the same way
+        table = cf.build_table(lg.gauss2(), ivp.M, 4.0)
+        with pytest.raises(StageIterationError) as err:
+            it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
+        assert err.value.step_index == 0
+        assert "non-finite state" in str(err.value)
 
 
 @pytest.mark.parametrize("name, overrides, h", [
