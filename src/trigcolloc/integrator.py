@@ -9,7 +9,8 @@ Each step is a few matrix-vector products with the flat operators of its
 CoefficientTable, applied to y = [q; p] and to the stacked stage forces
 F = [f(t + c_1 h, Q_1); ...; f(t + c_s h, Q_s)]:
 
-  stages  Q = predictor @ y + stage_matrix @ F(Q)     (fixed-point sweeps)
+  stages  Q = [stage_matrix | pred] @ [F(Q); 1]       (fixed-point sweeps)
+            = stage_matrix @ F(Q) + pred,  pred = predictor @ y
   update  [q_new; p_new] = propagator @ y + force_matrix @ F = update @ [y; F]
 
 Each sweep fills F with one force call on all s stages (a per-row force is
@@ -31,19 +32,18 @@ update needs F at converged stages and F(Q_(k-1)) is not (Q_(k-1) is
 res_k away from them).  Fixed mode runs max_iter sweeps with no test and
 evaluates F once more at the final stages.
 
-The first iterate is the predictor, Q = predictor @ y, unless the stage
-iteration gets a force guess ``start``: then it is
-predictor @ y + stage_matrix @ start.  In tolerance mode ``solve`` passes
-start = E @ F_prev for every full step after the first, where F_prev is the
-previous step's accepting forces and E = NodeSet.extrapolation evaluates
-their interpolant at the new stage times, the starting guess of Hairer,
-Lubich & Wanner, Geometric Numerical Integration, VIII.6.1.  The
-extrapolated forces are O(h^s) off, so the first iterate is O(h^(s+2)) off
-instead of the predictor's O(h^2), which saves about a sweep.  The first
-step and a trailing partial step (whose h differs) start from the
-predictor, and so does every step in fixed mode: there the result depends
-on the first iterate, and a fixed number of sweeps from the predictor is
-the map that mode promises.
+The first iterate is the predictor, Q = pred, unless the stage iteration
+gets a force guess ``start``: then it is a sweep's product with start for
+F.  In tolerance mode ``solve`` passes start = E @ F_prev for every full
+step after the first, where F_prev is the previous step's accepting forces
+and E = NodeSet.extrapolation evaluates their interpolant at the new stage
+times, the starting guess of Hairer, Lubich & Wanner, Geometric Numerical
+Integration, VIII.6.1.  The extrapolated forces are O(h^s) off, so the
+first iterate is O(h^(s+2)) off instead of the predictor's O(h^2), which
+saves about a sweep.  The first step and a trailing partial step (whose h
+differs) start from the predictor, and so does every step in fixed mode:
+there the result depends on the first iterate, and a fixed number of
+sweeps from the predictor is the map that mode promises.
 
 Everything a step needs besides its arithmetic stays the same for a whole
 solve: the operators, the buffers and their views, the force in its
@@ -248,13 +248,14 @@ class _Stepper:
     caller's.
 
     The state y = [q; p] a step starts from and the (s, d) stage forces F
-    that its sweeps fill lie next to each other in one buffer z = [y; F],
-    so that the update is the one product table.update @ z.  Two such
-    buffers take turns: a step writes its new state into the y of the
-    other, where the next step starts, and copies its halves into the
-    output rows.  The stages and forces run returns are views into the
-    buffers, which later runs overwrite: copy what must outlive the next
-    run.
+    that its sweeps fill lie next to each other in one buffer z = [y; F; 1],
+    so that the update is the one product table.update @ [y; F] and a sweep
+    W @ [F; 1], W = [stage_matrix | pred] being a private copy whose last
+    column each step sets.  Two such buffers take turns: a step writes its
+    new state into the y of the other, where the next step starts, its warm
+    start into the other's F, and its halves into the output rows.  The
+    stages and forces run returns are views into the buffers, which later
+    runs overwrite: copy what must outlive the next run.
     """
 
     def __init__(self, table: CoefficientTable, ivp: OscillatoryIVP, cfg: SolverConfig):
@@ -271,21 +272,21 @@ class _Stepper:
         n = s * d
         self.table = table
         self.cfg = cfg
-        self._n = n
         self._force = ivp.force if ivp.vectorized else _batched_force(ivp.force)
         self._fixed_mode = cfg.iteration_mode == "fixed"
-        # Step j uses buffer j % 2: its (z, y, F flat, F as (s, d)) and the other's
-        # (y, q, p), prepared per parity.  One (n + 1, 2d) output for the update
-        # would save a row copy, but kept 1 MiB more resident on fpu-chain.
-        bufs = [(z, z[: 2 * d], z[2 * d :], z[2 * d :].reshape(s, d))
-                for z in np.empty((2, 2 * d + n))]
+        # Step j uses buffer j % 2: its ([y; F], y, [F; 1], F as (s, d)) and the other's
+        # (y, q, p, F as (s, d)).  One (n + 1, 2d) output for the update would save
+        # a row copy, but kept 1 MiB more resident on fpu-chain.
+        zs = np.empty((2, 2 * d + n + 1))
+        zs[:, -1] = 1.0
+        bufs = [(z[:-1], z[: 2 * d], z[2 * d :], z[2 * d : -1].reshape(s, d)) for z in zs]
         self._turns = tuple(
-            bufs[j] + (bufs[1 - j][1], bufs[1 - j][1][:d], bufs[1 - j][1][d:]) for j in (0, 1)
+            mine + (other[1], other[1][:d], other[1][d:], other[3])
+            for mine, other in (bufs, bufs[::-1])
         )
-        self._pred = np.empty(n)
-        self._guess = np.empty(n)
+        self._W = np.hstack((table.stage_matrix, np.empty((n, 1))))  # row-major, as the table
+        self._pred, self._guess = np.empty((2, n))
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
-        self._warm_sd = np.empty((s, d))  # the extrapolated forces E @ F
         # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
         # pair holding (new - previous, new); rows 4-5 take their magnitudes,
         # whose row maxima (residual, size) go to _size_res.  Each parity's
@@ -311,15 +312,15 @@ class _Stepper:
         those its update used; fixed_point_stages documents the iteration.
         """
         table = self.table
-        predictor, stage_matrix, update = table.predictor, table.stage_matrix, table.update
+        predictor, update = table.predictor, table.update
         extrapolation = None if self._fixed_mode else table.node_set.extrapolation
         turns = self._turns
+        W, pred_column = self._W, self._W[:, -1]
         pred, guess = self._pred, self._guess
         pred_sd, guess_sd = self._initial_sd
-        warm_sd = self._warm_sd
-        warm = warm_sd.reshape(self._n)
-        if start is not None:
-            start = np.reshape(start, self._n)
+        warm = start is not None
+        if warm:  # step 0's first iterate is then the product a warm start makes
+            turns[0][3][...] = np.reshape(start, turns[0][3].shape)
         sweep_bufs = self._sweep_bufs
         magnitude = self._magnitude
         size_res = self._size_res
@@ -328,7 +329,7 @@ class _Stepper:
         fixed_mode = self._fixed_mode
         tol = self.cfg.tol
         max_iter = self.cfg.max_iter
-        q0, p0 = turns[1][5:]  # the halves of buffer 0's y, where step 0 starts
+        q0, p0 = turns[1][5:7]  # the halves of buffer 0's y, where step 0 starts
         q0[...], p0[...] = q_out[0], p_out[0]
         # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
         # dispatch, not arithmetic, sets its cost.  On a 12x12 operator
@@ -337,21 +338,19 @@ class _Stepper:
         # axis= by keyword takes 0.1-0.2 us more than one given them by position
         # (numpy 2.4, one BLAS thread).  Keep these forms.
         for j, (stage_t, q_row, p_row) in enumerate(zip(stage_times, q_out[1:], p_out[1:])):
-            z, y, flat_forces, forces, y_new, q_new, p_new = turns[j & 1]
+            yf, y, f1, forces, y_new, q_new, p_new, next_forces = turns[j & 1]
             predictor.dot(y, pred)
-            if start is None:
-                stages, stages_sd = pred, pred_sd
+            pred_column[...] = pred
+            if warm:  # F holds the force guess
+                stages, stages_sd = W.dot(f1, guess), guess_sd
             else:
-                stages = stage_matrix.dot(start, guess)
-                stages += pred
-                stages_sd = guess_sd
+                stages, stages_sd = pred, pred_sd
             history = []
             prev = 0.0
             for sweep in range(1, max_iter + 1):
                 forces[...] = force(stage_t, stages_sd)
                 rows, new, new_sd = sweep_bufs[sweep & 1]
-                stage_matrix.dot(flat_forces, new)
-                new += pred
+                W.dot(f1, new)
                 np.subtract(new, stages, rows[0])
                 np.abs(rows, magnitude)
                 res, size = maximum_reduce(magnitude, 1, None, size_res).tolist()
@@ -386,14 +385,14 @@ class _Stepper:
                         residual=res, iterations=max_iter, step_index=first + j,
                     )
                 forces[...] = force(stage_t, stages_sd)
-            update.dot(z, y_new)
+            update.dot(yf, y_new)
             q_row[...] = q_new
             p_row[...] = p_new
             iterations[j] = sweep
             residuals[j] = res
             if extrapolation is not None:
-                start = warm
-                extrapolation.dot(forces, warm_sd)
+                warm = True
+                extrapolation.dot(forces, next_forces)
         if not np.isfinite(y_new).all():
             raise _update_error(first + j, sweep, res)
         return stages_sd, forces, history
@@ -432,16 +431,16 @@ def fixed_point_stages(
 
     stages is an (s, d) array.  Without ``start`` the initial guess is the
     free-oscillation predictor phi0(c_i^2 V) q + c_i h phi1(c_i^2 V) p, i.e.
-    predictor @ [q; p]; an (s, d) force guess ``start`` makes it
-    predictor @ [q; p] + stage_matrix @ start.  Each sweep evaluates the
-    forces at the current stages into one (s, d) buffer F and sets the
-    stages to predictor @ [q; p] + stage_matrix @ F; one max-reduction over
-    |new - previous| and |new| gives both the residual and the size that
-    scales the tolerance.  In tolerance mode the stages are accepted by the
-    residual test or the contraction test (see the module docstring).  A
-    sweep whose residual is not finite raises StageIterationError with the
-    residual history.  One call is a one-step run of _Stepper, the loop
-    solve runs, so it makes that step's update too and fails as it does.
+    pred = predictor @ [q; p]; an (s, d) force guess ``start`` makes it
+    stage_matrix @ start + pred.  Each sweep evaluates the forces at the
+    current stages into one (s, d) buffer F and sets the stages to
+    stage_matrix @ F + pred, one product (see _Stepper); one max-reduction
+    over |new - previous| and |new| gives the residual and the scaling size.
+    In tolerance mode the stages are accepted by the residual test or the
+    contraction test (see the module docstring).  A sweep whose residual is
+    not finite raises StageIterationError with the residual history.  One
+    call is a one-step run of _Stepper, the loop solve runs, so it makes
+    that step's update too and fails as it does.
     """
     _, _, stages, _, history = _one_step(table, ivp, t, q, p, cfg, start)
     return stages, len(history), history
@@ -464,10 +463,11 @@ def step(
     after the residual test (no extra force call), the forces at the
     returned stages after the contraction test; in fixed mode F is
     evaluated once more at the final stages, so the map is the collocation
-    update at the returned stage values.  ``start`` (an (s, d) force guess
-    for the first stage iterate) is passed on to the stage iteration.  Each
-    call is a one-step run of _Stepper, the loop that solve runs for all
-    its steps; a non-finite new state raises StageIterationError.
+    update at the returned stage values.  ``start`` (an (s, d) force guess)
+    is copied into the stepper's F, so the first stage iterate is a sweep's
+    product, stage_matrix @ start + pred.  Each call is a one-step run of
+    _Stepper, the loop that solve runs for all its steps; a non-finite new
+    state raises StageIterationError.
     """
     if abs(table.h - cfg.h) > 1e-15 * max(1.0, cfg.h):
         raise ValueError(f"table step {table.h} does not match config step {cfg.h}")

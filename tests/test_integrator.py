@@ -175,6 +175,28 @@ def test_step_rejects_a_table_built_for_another_step():
     assert stages.shape == (2, ivp.dim)
 
 
+def test_steps_leave_their_table_unwritten():
+    # each step writes its predictor term into the stepper's own copy of
+    # [stage_matrix | pred], never into the table
+    rng = np.random.default_rng(RNG_SEED)
+    ivp = build_problem("fpu").ivp
+    ns = lg.gauss_nodes(3)
+    cfg = SolverConfig(h=0.01)
+    table = cf.build_table(ns, ivp.M, cfg.h)
+    arrays = {name: value for name, value in vars(table).items() if isinstance(value, np.ndarray)}
+    arrays.update(nodes=ns.nodes, extrapolation=ns.extrapolation)
+    before = {name: value.copy() for name, value in arrays.items()}
+    first = it.step(table, ivp, 0.0, ivp.q0, ivp.p0, cfg)
+    q, p = first.q + rng.standard_normal(ivp.dim), first.p + rng.standard_normal(ivp.dim)
+    second = it.step(table, ivp, 0.3, q, p, cfg, start=first.forces)
+    for name, value in arrays.items():
+        assert np.array_equal(value, before[name]), name
+    fresh = it.step(cf.build_table(ns, ivp.M, cfg.h), ivp, 0.3, q, p, cfg, start=first.forces)
+    for got, want in ((second.q, fresh.q), (second.p, fresh.p), (second.stages, fresh.stages)):
+        assert np.array_equal(got, want)
+    assert not np.shares_memory(it._Stepper(table, ivp, cfg)._W, table.stage_matrix)
+
+
 def defining_step(table, ivp, t, q, p, h, sweeps):
     """One step from the raw weights (lifted_blocks) and phi pairs, stage by stage.
 
@@ -355,6 +377,12 @@ def test_force_and_energy_calls_per_step(vectorized, mode):
     assert traj.energy.shape == (n_steps + 1,)
 
 
+def stage_product(table, pred, forces):
+    """stage_matrix @ F + pred as the stepper forms it: one product of
+    [stage_matrix | pred] with [F; 1]."""
+    return np.hstack((table.stage_matrix, pred[:, None])) @ np.append(forces.ravel(), 1.0)
+
+
 def per_sweep_stages(table, ivp, t, q, p, cfg, start=None, contraction=True):
     """The stage iteration written sweep by sweep with a separate residual
     and threshold reduction; returns (stages, iterations, history, forces),
@@ -366,7 +394,7 @@ def per_sweep_stages(table, ivp, t, q, p, cfg, start=None, contraction=True):
     stage_t = t + ns.nodes * cfg.h
     stages = pred.reshape(s, d)
     if start is not None:
-        stages = (pred + table.stage_matrix @ start.ravel()).reshape(s, d)
+        stages = stage_product(table, pred, start).reshape(s, d)
 
     def stage_forces(x):
         return np.stack([ivp.force(float(stage_t[j]), x[j]) for j in range(s)])
@@ -374,7 +402,7 @@ def per_sweep_stages(table, ivp, t, q, p, cfg, start=None, contraction=True):
     history = []
     for sweep in range(1, cfg.max_iter + 1):
         forces = stage_forces(stages)
-        new = (pred + table.stage_matrix @ forces.ravel()).reshape(s, d)
+        new = stage_product(table, pred, forces).reshape(s, d)
         res = float(np.abs(new - stages).max())
         history.append(res)
         stages = new
@@ -526,8 +554,8 @@ def test_solve_warm_starts_full_steps_from_extrapolated_forces(mode):
     for k, sweeps in enumerate(steps):
         h = 0.01 if k < 10 else h_last
         table = cf.build_table(ns, ivp.M, h)
-        # the first iterate is predictor @ y + stage_matrix @ start, or the
-        # predictor alone without a start
+        # the first iterate is stage_matrix @ start + predictor @ y, formed as
+        # one product, or the predictor alone without a start
         first_iterate = sweeps[0][0].ravel()
         pred = table.predictor @ np.concatenate((traj.q[k], traj.p[k]))
         if mode == "fixed" or k == 0 or h != 0.01:
@@ -536,7 +564,7 @@ def test_solve_warm_starts_full_steps_from_extrapolated_forces(mode):
         else:
             # the update of the step before used the forces of its last call
             start = ns.extrapolation @ steps[k - 1][-1][1]
-            assert np.array_equal(first_iterate, pred + table.stage_matrix @ start.ravel())
+            assert np.array_equal(first_iterate, stage_product(table, pred, start))
 
 
 def warm_step_loop(ivp, cfg, ns):
@@ -980,6 +1008,47 @@ def test_asymmetric_nodes_are_not_time_reversible():
     q0, p0 = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
     ns = lg.build_node_set([1.0 / 3.0, 1.0])
     assert round_trip_defect(ns, M, force, q0, p0, 0.1) > 1e-8
+
+
+def linear_step_matrix(table, K):
+    """The step map S of the force -K q: the stages solve
+    Q = predictor @ y - stage_matrix @ (I x K) Q, and the update is
+    propagator @ y - force_matrix @ (I x K) Q."""
+    IK = np.kron(np.eye(table.node_set.s), K)
+    coupled = np.eye(IK.shape[0]) + table.stage_matrix @ IK
+    return table.propagator - table.force_matrix @ IK @ np.linalg.solve(coupled, table.predictor)
+
+
+def symplecticity_defect(ns, M, K, h):
+    d = M.shape[0]
+    J = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    S = linear_step_matrix(cf.build_table(ns, M, h), K)
+    return np.abs(S.T @ J @ S - J).max()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_the_step_is_symplectic_only_to_order_2s_plus_1(s):
+    # q'' + M q = -K q with M and K SPD is Hamiltonian, but for K that does
+    # not commute with M the step's defect S^T J S - J is O(h^(2s+1)): the
+    # halving from h = 0.1 to 0.05 divides it by 7.9, 31.6 and 126 for
+    # s = 1, 2 and 3.  For K that commutes with M it is round-off (9.5e-16).
+    rng = np.random.default_rng(RNG_SEED)
+    d = 4
+    A, B = rng.standard_normal((2, d, d))
+    M = A @ A.T / d + np.eye(d)
+    K = B @ B.T / d + np.eye(d)
+    ns = lg.gauss_nodes(s)
+    # S is the map a step makes
+    y = rng.standard_normal(2 * d)
+    ivp = OscillatoryIVP(M=M, force=lambda t, q: -K @ q, q0=y[:d], p0=y[d:], t_end=0.1)
+    table = cf.build_table(ns, M, 0.1)
+    r = it.step(table, ivp, 0.0, ivp.q0, ivp.p0, SolverConfig(h=0.1))
+    assert np.abs(linear_step_matrix(table, K) @ y - np.concatenate((r.q, r.p))).max() <= 1e-13
+    ratio = symplecticity_defect(ns, M, K, 0.1) / symplecticity_defect(ns, M, K, 0.05)
+    assert ratio >= 0.75 * 2 ** (2 * s + 1)
+    w, V = np.linalg.eigh(M)
+    commuting = (V * (1.0 + w**2)) @ V.T
+    assert symplecticity_defect(ns, M, commuting, 0.1) <= 1e-13
 
 
 def test_energy_series_for_harmonic_oscillator():
