@@ -97,11 +97,8 @@ _GRID_SNAP = 1e-9
 ERROR_FLOOR = 1e-12
 
 # A reference solve is refused when step doubling moves its endpoint by more
-# than REFERENCE_CHECK_TOL, and retried at twice the substeps, at least
-# REFERENCE_RETRIES times and up to REFERENCE_MAX_PER_UNIT substeps per unit.
+# than REFERENCE_CHECK_TOL.
 REFERENCE_CHECK_TOL = 1e-10
-REFERENCE_RETRIES = 3
-REFERENCE_MAX_PER_UNIT = 4096
 
 
 @dataclass
@@ -110,9 +107,8 @@ class OscillatoryIVP:
 
     ``lipschitz``, a bound on the force Jacobian, turns on the contraction
     guard: a step whose check_contraction factor is >= 1 then raises
-    ContractionGuardError.  ``hamiltonian`` (q, p) -> float and the skew
-    ``invariant`` matrix D (tracking q^T D p) enable the trajectory
-    diagnostics.
+    ContractionGuardError.  ``hamiltonian`` (q, p) -> float gives the
+    trajectory its energy series.
 
     ``vectorized`` declares the callbacks' signature.  False (default):
     ``force(t, q)`` gets a float t and a d-vector q and returns a d-vector,
@@ -130,7 +126,6 @@ class OscillatoryIVP:
     t_end: float
     lipschitz: float | None = None
     hamiltonian: Callable[[np.ndarray, np.ndarray], float] | None = None
-    invariant: np.ndarray | None = None
     vectorized: bool = False
 
     def __post_init__(self):
@@ -144,13 +139,6 @@ class OscillatoryIVP:
             raise ValueError("q0 and p0 must have equal length")
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
-        if self.invariant is not None:
-            D = np.atleast_2d(np.asarray(self.invariant, dtype=float))
-            if D.shape != (d, d):
-                raise ValueError(f"invariant matrix must be {d}x{d}")
-            if np.abs(D + D.T).max() > 1e-12 * max(1.0, np.abs(D).max()):
-                raise ValueError("invariant matrix must be skew-symmetric")
-            self.invariant = D
 
     @property
     def dim(self) -> int:
@@ -205,18 +193,12 @@ class Trajectory:
     iterations: np.ndarray
     residuals: np.ndarray
     energy: np.ndarray | None = None
-    invariant: np.ndarray | None = None
     endpoint_error: float | None = None
 
     def energy_drift(self) -> np.ndarray:
         if self.energy is None:
             raise ValueError("trajectory has no energy series")
         return np.abs(self.energy - self.energy[0])
-
-    def invariant_drift(self) -> np.ndarray:
-        if self.invariant is None:
-            raise ValueError("trajectory has no invariant series")
-        return np.abs(self.invariant - self.invariant[0])
 
 
 def check_contraction(ns: lg.NodeSet, h: float, lipschitz: float) -> float:
@@ -537,13 +519,9 @@ def solve(
         if not ivp.vectorized:  # one call per row, as _batched_force makes
             hamiltonian = lambda Q, P: [ivp.hamiltonian(q, p) for q, p in zip(Q, P)]
         energy = np.asarray(hamiltonian(q_out, p_out), dtype=float)
-    invariant = None
-    if ivp.invariant is not None:
-        invariant = np.einsum("nk,kl,nl->n", q_out, ivp.invariant, p_out)
     return Trajectory(
         t=t_out, q=q_out, p=p_out,
-        iterations=iters, residuals=resid,
-        energy=energy, invariant=invariant,
+        iterations=iters, residuals=resid, energy=energy,
     )
 
 
@@ -597,32 +575,26 @@ def endpoint_errors(
     """Step sizes, largest first, and the max-norm endpoint error over
     (q, p) of a solve with ``config`` at each h.
 
-    ``reference`` is a callable t -> (q, p) or a Trajectory, or None for a
-    reference_solve at ceil(8 / min h) substeps per unit, with ``node_set``
-    if it has two nodes or more and Gauss-2 otherwise (more accurate than
-    a one-node method).  A refused reference is retried at twice the
-    substeps, at least REFERENCE_RETRIES times and up to
-    REFERENCE_MAX_PER_UNIT substeps per unit.
+    ``reference`` is a callable t -> (q, p) or a Trajectory, used as is, or
+    None for one reference_solve at ceil(8 / min h) substeps per unit with
+    Gauss-max(4, s) nodes: its order 2 max(4, s) is never below the order
+    2s of the s-node set under test.  A refused reference is not retried;
+    its OracleUnreliableError is re-raised, naming the nodes and substeps.
     """
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
     if reference is None:
-        first = per_unit = int(math.ceil(8.0 / hs.min()))
-        most = max(per_unit * 2**REFERENCE_RETRIES, REFERENCE_MAX_PER_UNIT)
-        ref_nodes = node_set if node_set.s >= 2 else lg.gauss2()
-        while True:
-            try:
-                reference = reference_solve(ivp, per_unit, node_set=ref_nodes)
-                break
-            except OracleUnreliableError as exc:
-                if 2 * per_unit > most:
-                    # reference_solve's advice names its own argument, which
-                    # this policy sets; say which substep counts were tried
-                    raise OracleUnreliableError(
-                        f"reference solve refused at {first} to {per_unit} substeps"
-                        f" per unit (doubling stops at {most}): step doubling moved"
-                        f" the endpoint by more than {REFERENCE_CHECK_TOL:.3g}"
-                    ) from exc
-                per_unit *= 2
+        per_unit = int(math.ceil(8.0 / hs.min()))
+        ref_nodes = lg.gauss_nodes(max(4, node_set.s))
+        try:
+            reference = reference_solve(ivp, per_unit, node_set=ref_nodes)
+        except OracleUnreliableError as exc:
+            # reference_solve's advice names its own argument, which this
+            # policy sets; say which reference was refused instead
+            raise OracleUnreliableError(
+                f"Gauss-{ref_nodes.s} reference refused at {per_unit} substeps"
+                " per unit: step doubling moved the endpoint by more than"
+                f" {REFERENCE_CHECK_TOL:.3g}"
+            ) from exc
     if isinstance(reference, Trajectory):
         ref_q, ref_p = reference.q[-1], reference.p[-1]
     else:
@@ -645,8 +617,10 @@ def estimate_order(
     """Least-squares slope of log(endpoint error) against log(h).
 
     The errors and ``reference`` are endpoint_errors', with SolverConfig's
-    default tol and max_iter.  Errors at or below ERROR_FLOOR are excluded
-    from the fit; at least two points must survive, else ValueError.
+    default tol and max_iter: with no reference given, one Gauss-max(4, s)
+    reference_solve, refused loudly rather than retried.  Errors at or
+    below ERROR_FLOOR are excluded from the fit; at least two points must
+    survive, else ValueError.
     """
     hs = sorted(step_sizes, reverse=True)
     if len(hs) < 3:

@@ -333,9 +333,9 @@ def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
     assert "least-squares order: n/a (3 of 3 errors at or below 1e-12)" in err
 
 
-def test_convergence_order_on_fpu(tmp_path, capsys):
-    # 320 substeps per unit fail the reference self-check here; the CLI and
-    # estimate_order share the driver that retries it, so both run and agree
+def test_convergence_and_estimate_order_agree_on_fpu(tmp_path, capsys):
+    # the CLI and estimate_order share one driver and one reference solve,
+    # so both run and agree
     out = tmp_path / "conv.csv"
     code = run([
         "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
@@ -351,8 +351,8 @@ def test_convergence_order_on_fpu(tmp_path, capsys):
     assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
 
 
-def test_convergence_of_one_node_method_uses_gauss2_reference(tmp_path, capsys):
-    # a midpoint reference misses its own self-check even after three retries
+def test_convergence_of_one_node_method_is_second_order(tmp_path, capsys):
+    # the reference is Gauss-4, not the order-2 midpoint rule under test
     code = run([
         "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
         "--h-list", "0.1,0.05,0.025", "--nodes", "0.5",
@@ -362,9 +362,9 @@ def test_convergence_of_one_node_method_uses_gauss2_reference(tmp_path, capsys):
     assert 1.7 <= float(capsys.readouterr().err.split(":")[1]) <= 2.3
 
 
-def test_convergence_retries_a_refused_reference(tmp_path, capsys):
-    # 8 / min(h) = 320 substeps per unit fail the 1e-10 self-check here;
-    # twice that passes
+def test_convergence_on_satellite_is_fourth_order(tmp_path, capsys):
+    # the Gauss-4 reference passes its 1e-10 self-check at 8 / min(h) = 320
+    # substeps per unit, where a Gauss-2 one did not
     out = tmp_path / "conv_sat.csv"
     code = run([
         "convergence", "--problem", "satellite", "--t-end", "2",
@@ -377,10 +377,9 @@ def test_convergence_retries_a_refused_reference(tmp_path, capsys):
     assert 3.5 < float(capsys.readouterr().err.split(":")[1]) < 4.5
 
 
-def test_convergence_takes_a_coarse_step_list(tmp_path, capsys):
-    # the reference starts at 8 / min(h) = 80 substeps per unit; its
-    # self-check reads 1.24e-10 > 1e-10 at 640 and first passes at 1280,
-    # the fourth retry
+def test_convergence_on_a_coarse_step_list_matches_estimate_order(tmp_path, capsys):
+    # the Gauss-4 reference passes its self-check at 8 / min(h) = 80
+    # substeps per unit, where a Gauss-2 one first passed at 1280
     out = tmp_path / "conv.csv"
     code = run([
         "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
@@ -395,7 +394,11 @@ def test_convergence_takes_a_coarse_step_list(tmp_path, capsys):
     assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
 
 
-def test_coarse_step_list_retries_up_to_a_fixed_substep_count(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, substeps", [
+    (["--problem", "fpu", "--omega", "20", "--h-list", "0.4,0.2,0.1"], 80),
+    (["--problem", "satellite", "--h-list", "0.1,0.05,0.025"], 320),
+], ids=["fpu-coarse", "satellite"])
+def test_convergence_does_not_retry_a_refused_reference(monkeypatch, capsys, argv, substeps):
     calls = []
 
     def refuse(ivp, per_unit, node_set=None):
@@ -403,35 +406,38 @@ def test_coarse_step_list_retries_up_to_a_fixed_substep_count(monkeypatch, capsy
         raise OracleUnreliableError("refused")
 
     monkeypatch.setattr(integrator, "reference_solve", refuse)
-    code = run([
-        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
-        "--h-list", "0.4,0.2,0.1",
-    ])
+    code = run(["convergence", "--t-end", "1", *argv])
     assert code == cli.EXIT_USAGE
-    assert calls == [80, 160, 320, 640, 1280, 2560]
-    assert calls[-1] * 2 > integrator.REFERENCE_MAX_PER_UNIT
-
-
-def test_convergence_gives_up_after_three_retries(monkeypatch, capsys):
-    calls = []
-
-    def refuse(ivp, per_unit, node_set=None):
-        calls.append(per_unit)
-        raise OracleUnreliableError("refused")
-
-    monkeypatch.setattr(integrator, "reference_solve", refuse)
-    code = run([
-        "convergence", "--problem", "satellite", "--t-end", "1",
-        "--h-list", "0.1,0.05,0.025",
-    ])
-    assert code == cli.EXIT_USAGE
-    assert calls == [320, 640, 1280, 2560]
+    assert calls == [substeps]
     assert "refused" in capsys.readouterr().err
 
 
+def test_convergence_solves_one_reference_with_gauss_max_4_s_nodes(monkeypatch):
+    calls = []
+    real = integrator.reference_solve
+
+    def spy(ivp, per_unit, node_set=None):
+        calls.append((per_unit, node_set.s))
+        return real(ivp, per_unit, node_set=node_set)
+
+    monkeypatch.setattr(integrator, "reference_solve", spy)
+    fpu = ["convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1"]
+    assert run([*fpu, "--h-list", "0.4,0.2,0.1"]) == cli.EXIT_OK
+    assert calls == [(80, 4)]
+    calls.clear()
+    assert run([*fpu, "--h-list", "0.1,0.05,0.025", "--nodes", "0.5"]) == cli.EXIT_OK
+    assert calls == [(320, 4)]
+    calls.clear()
+    integrator.estimate_order(
+        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.4, 0.2, 0.1],
+        node_set=lg.gauss_nodes(5),
+    )
+    assert calls == [(80, 5)]
+
+
 def test_convergence_refused_at_the_cap_names_its_substeps(monkeypatch, capsys):
-    # the command sets the reference's substeps from --h-list; its error must
-    # not ask for a setting it does not have
+    # the command sets the reference's substeps from --h-list (8 / 0.0125 =
+    # 640 per unit); its error must not ask for a setting it does not have
     monkeypatch.setattr(integrator, "REFERENCE_CHECK_TOL", 0.0)
     code = run([
         "convergence", "--problem", "fpu", "--t-end", "0.1",
@@ -439,7 +445,7 @@ def test_convergence_refused_at_the_cap_names_its_substeps(monkeypatch, capsys):
     ])
     assert code == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert "refused at 640 to 5120 substeps per unit (doubling stops at 5120)" in err
+    assert "Gauss-4 reference refused at 640 substeps per unit" in err
     assert "n_substeps_per_unit" not in err
 
 

@@ -1084,18 +1084,6 @@ def test_energy_error_off_and_at_numerical_resonance(h_omega):
         assert drift.max() == first_half
 
 
-def test_invariant_series_requires_skew_matrix():
-    with pytest.raises(ValueError):
-        OscillatoryIVP(
-            M=np.zeros((2, 2)),
-            force=lambda t, q: np.zeros(2),
-            q0=np.array([1.0, 0.0]),
-            p0=np.array([0.0, 1.0]),
-            t_end=1.0,
-            invariant=np.eye(2),
-        )
-
-
 def test_reference_solve_self_check():
     ivp = OscillatoryIVP(
         M=np.array([[4.0]]),
@@ -1112,14 +1100,14 @@ def test_reference_solve_self_check():
 
 
 def test_a_reference_refused_at_the_cap_names_the_substeps_it_tried(monkeypatch):
-    # every step-doubling check fails at tol 0: 8 / 0.0125 = 640 substeps per
-    # unit, doubled to 5120 = 640 * 2**3, where the retries stop
+    # every step-doubling check fails at tol 0; the one reference solve runs
+    # at 8 / 0.0125 = 640 substeps per unit and is not retried
     monkeypatch.setattr(it, "REFERENCE_CHECK_TOL", 0.0)
     ivp = build_problem("fpu", t_end=0.1).ivp
     with pytest.raises(OracleUnreliableError) as err:
         it.estimate_order(ivp, [0.05, 0.025, 0.0125])
     msg = str(err.value)
-    assert "refused at 640 to 5120 substeps per unit (doubling stops at 5120)" in msg
+    assert "Gauss-4 reference refused at 640 substeps per unit" in msg
     assert "n_substeps_per_unit" not in msg
     # reference_solve's own refusal is chained, with its own message
     assert isinstance(err.value.__cause__, OracleUnreliableError)
