@@ -271,11 +271,11 @@ class _Stepper:
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
         # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
         # pair holding (new - previous, new); rows 4-5 take their magnitudes,
-        # whose row maxima (residual, size) go to _size_res.  Each parity's
-        # (rows, new, new as (s, d)) is prepared here, so a sweep indexes once.
+        # whose row maxima (residual, size) go to _size_res.  Each parity's rows,
+        # their two halves and new as (s, d) are prepared here: a sweep indexes once.
         work = np.empty((6, n))
         self._sweep_bufs = tuple(
-            (rows, rows[1], rows[1].reshape(s, d)) for rows in (work[0:2], work[2:4])
+            (rows, rows[0], rows[1], rows[1].reshape(s, d)) for rows in (work[0:2], work[2:4])
         )
         self._magnitude = work[4:6]
         self._size_res = np.empty(2)
@@ -294,10 +294,10 @@ class _Stepper:
         those its update used; fixed_point_stages documents the iteration.
         """
         table = self.table
-        predictor, update = table.predictor, table.update
-        extrapolation = None if self._fixed_mode else table.node_set.extrapolation
+        predictor_dot, update_dot = table.predictor.dot, table.update.dot
+        extrapolation_dot = None if self._fixed_mode else table.node_set.extrapolation.dot
         turns = self._turns
-        W, pred_column = self._W, self._W[:, -1]
+        W_dot, pred_column = self._W.dot, self._W[:, -1]
         pred, guess = self._pred, self._guess
         pred_sd, guess_sd = self._initial_sd
         warm = start is not None
@@ -306,11 +306,14 @@ class _Stepper:
         sweep_bufs = self._sweep_bufs
         magnitude = self._magnitude
         size_res = self._size_res
-        maximum_reduce = np.maximum.reduce
+        residual_and_size = size_res.tolist
+        maximum_reduce, subtract, absolute = np.maximum.reduce, np.subtract, np.abs
+        isfinite, contraction_max = math.isfinite, CONTRACTION_MAX
         force = self._force
         fixed_mode = self._fixed_mode
         tol = self.cfg.tol
         max_iter = self.cfg.max_iter
+        sweeps = range(1, max_iter + 1)
         q0, p0 = turns[1][5:7]  # the halves of buffer 0's y, where step 0 starts
         q0[...], p0[...] = q_out[0], p_out[0]
         # A sweep is a few dozen numpy calls on arrays of s*d elements, so numpy's
@@ -318,26 +321,30 @@ class _Stepper:
         # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
         # np.matmul(..., out=), with the same bits, and a ufunc given out= or
         # axis= by keyword takes 0.1-0.2 us more than one given them by position
-        # (numpy 2.4, one BLAS thread).  Keep these forms.
+        # (numpy 2.4, one BLAS thread).  Keep these forms, and the rule that a
+        # sweep looks up no global or attribute and builds no view: everything
+        # it calls or writes is bound to a local above or prepared in __init__.
         for j, (stage_t, q_row, p_row) in enumerate(zip(stage_times, q_out[1:], p_out[1:])):
             yf, y, f1, forces, y_new, q_new, p_new, next_forces = turns[j & 1]
-            predictor.dot(y, pred)
+            predictor_dot(y, pred)
             pred_column[...] = pred
             if warm:  # F holds the force guess
-                stages, stages_sd = W.dot(f1, guess), guess_sd
+                stages, stages_sd = W_dot(f1, guess), guess_sd
             else:
                 stages, stages_sd = pred, pred_sd
             history = []
+            record = history.append
             prev = 0.0
-            for sweep in range(1, max_iter + 1):
+            for sweep in sweeps:
                 forces[...] = force(stage_t, stages_sd)
-                rows, new, new_sd = sweep_bufs[sweep & 1]
-                W.dot(f1, new)
-                np.subtract(new, stages, rows[0])
-                np.abs(rows, magnitude)
-                res, size = maximum_reduce(magnitude, 1, None, size_res).tolist()
-                history.append(res)
-                if not math.isfinite(res):
+                rows, diff, new, new_sd = sweep_bufs[sweep & 1]
+                W_dot(f1, new)
+                subtract(new, stages, diff)
+                absolute(rows, magnitude)
+                maximum_reduce(magnitude, 1, None, size_res)
+                res, size = residual_and_size()
+                record(res)
+                if not isfinite(res):
                     if sweep == 1 and j and not np.isfinite(y).all():
                         # the state this step starts from is already not finite
                         raise _update_error(first + j - 1, iterations[j - 1], residuals[j - 1])
@@ -353,7 +360,7 @@ class _Stepper:
                 if res <= bound:
                     break
                 # prev = 0 fails this at sweep 1 and keeps it out of the division.
-                if res < CONTRACTION_MAX * prev:
+                if res < contraction_max * prev:
                     theta = res / prev
                     if theta / (1.0 - theta) * res <= bound:
                         forces[...] = force(stage_t, stages_sd)
@@ -367,14 +374,14 @@ class _Stepper:
                         residual=res, iterations=max_iter, step_index=first + j,
                     )
                 forces[...] = force(stage_t, stages_sd)
-            update.dot(yf, y_new)
+            update_dot(yf, y_new)
             q_row[...] = q_new
             p_row[...] = p_new
             iterations[j] = sweep
             residuals[j] = res
-            if extrapolation is not None:
+            if extrapolation_dot is not None:
                 warm = True
-                extrapolation.dot(forces, next_forces)
+                extrapolation_dot(forces, next_forces)
         if not np.isfinite(y_new).all():
             raise _update_error(first + j, sweep, res)
         return stages_sd, forces, history

@@ -10,9 +10,12 @@ that formula.
 
 Every registered IVP is vectorized: force, potential and Hamiltonian act on
 the last axis, so each serves a single d-vector as well as (n, d) rows
-(with t a float or an (n, 1) column).  A force runs a few times per step,
-so its polynomial terms are products, which cost less than np.power's
-libm pow per element.  A potential runs once per solve and keeps ``**``.
+(with t a float or an (n, 1) column).  Their polynomial terms are
+products: ``**`` calls libm pow per element, which on a negative base
+took about 55-90 ns against 3 ns for a positive one and 4 ns for two
+products (numpy 2.4): fpu's energy series over 10 001 rows took 2.7-3.1
+ms with ``** 4``, 0.5 ms with products, in a solve of about 130 ms.  Powers
+of satellite's positive r keep ``**``.
 """
 
 from __future__ import annotations
@@ -140,7 +143,9 @@ def fpu_problem(omega: float = 100.0, m: int = 3, t_end: float = 10.0) -> Proble
     NG = -G
 
     def potential(x: np.ndarray):
-        return 0.25 * ((x @ GT) ** 4).sum(axis=-1)
+        e = x @ GT
+        e *= e
+        return 0.25 * (e * e).sum(axis=-1)
 
     def force(t, x: np.ndarray) -> np.ndarray:
         e = x.dot(GT)
@@ -182,7 +187,8 @@ def klein_gordon_problem(n: int = 32, t_end: float = 20.0) -> ProblemSpec:
     M /= dx * dx
 
     def potential(u: np.ndarray):
-        return (0.5 * u**2 + 0.25 * u**4).sum(axis=-1)
+        u2 = u * u
+        return (0.5 * u2 + 0.25 * (u2 * u2)).sum(axis=-1)
 
     def force(t, u: np.ndarray) -> np.ndarray:
         return -(u + u * u * u)

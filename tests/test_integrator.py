@@ -743,6 +743,36 @@ def test_a_non_finite_update_fails_naming_its_step(t_end):
         assert "non-finite state" in str(err.value)
 
 
+@pytest.mark.parametrize("failing_step", [2, 3])
+def test_a_later_non_finite_update_names_its_step_sweeps_and_residual(failing_step):
+    # fpu at h = 0.01 in fixed mode makes 3 sweeps and then one force call
+    # for the update per step.  The force overflows on that update call of
+    # the failing step only, so the next step's first sweep finds its state
+    # not finite and must report the failing step's own sweep count and last
+    # residual, which a clean solve gives.
+    ivp = replace(build_problem("fpu").ivp, t_end=0.1)
+    cfg = SolverConfig(h=0.01, iteration_mode="fixed", max_iter=3)
+    clean = it.solve(ivp, cfg)
+    assert clean.residuals[failing_step] not in (
+        clean.residuals[failing_step - 1], clean.residuals[failing_step + 1]
+    )
+    calls = [0]
+
+    def force(t, q):
+        calls[0] += 1
+        if calls[0] == (failing_step + 1) * (cfg.max_iter + 1):
+            return np.full_like(q, np.inf)
+        return ivp.force(t, q)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StageIterationError) as err:
+            it.solve(replace(ivp, force=force), cfg)
+    assert err.value.step_index == failing_step
+    assert err.value.iterations == cfg.max_iter
+    assert err.value.residual == clean.residuals[failing_step]
+    assert "non-finite state" in str(err.value)
+
+
 @pytest.mark.parametrize("name, overrides, h", [
     ("fpu", {}, 0.01), ("klein-gordon", {"n": 64}, 0.002),
 ])

@@ -12,6 +12,7 @@ from trigcolloc.problems import (
     SAT_ECC,
     SAT_R0,
     build_problem,
+    quadratic_energy,
 )
 
 from oracles import fd_gradient
@@ -277,6 +278,37 @@ def test_polynomial_forces_match_their_power_forms_to_a_few_ulp():
     got, want = wave.force(t, u), u**5 - a**2 * u**3 + drive
     size = np.abs(u) ** 5 + a**2 * np.abs(u) ** 3 + np.abs(drive)
     assert np.all(np.abs(got - want) <= 4 * eps * size)
+
+
+def test_potentials_match_their_power_forms_to_a_few_ulp():
+    # fpu and klein-gordon form their fourth powers as squares of squares,
+    # which round twice where ``** 4`` rounds once; on mixed-sign rows the
+    # potentials and the energies agree with the power forms within
+    # 4 eps times the sum of their terms' magnitudes.
+    rng = np.random.default_rng(RNG_SEED)
+    eps = np.finfo(float).eps
+
+    def check(spec, power_potential, q, p):
+        terms = power_potential(q)
+        want = terms.sum(axis=-1)
+        got = spec.potential(q)
+        assert np.all(np.abs(got - want) <= 4 * eps * np.abs(terms).sum(axis=-1))
+        M = spec.ivp.M
+        want = quadratic_energy(M, lambda x: power_potential(x).sum(axis=-1))(q, p)
+        size = (0.5 * np.vecdot(p, p) + 0.5 * np.abs(np.vecdot(q @ M, q))
+                + np.abs(terms).sum(axis=-1))
+        got = spec.ivp.hamiltonian(q, p)
+        assert np.all(np.abs(got - want) <= 4 * eps * size)
+
+    m = 3
+    G = np.stack([fpu_gaps_by_spring(e, m) for e in np.eye(2 * m)], axis=1)
+    GT = G.T.copy()
+    x, p = 2.0 * rng.standard_normal((2, 1000, 2 * m))
+    assert (x < 0).any() and (x > 0).any()
+    check(build_problem("fpu", m=m), lambda x: 0.25 * (x @ GT) ** 4, x, p)
+
+    u, p = 2.0 * rng.standard_normal((2, 1000, 8))
+    check(build_problem("klein-gordon", n=8), lambda u: 0.5 * u**2 + 0.25 * u**4, u, p)
 
 
 def test_wave_drive_is_bit_for_bit_the_unhoisted_expression():
