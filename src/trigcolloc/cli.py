@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     try:
         return _DISPATCH[manifest.command](manifest)
     except StageIterationError as exc:
-        print(f"solver failed at step {exc.step_index}: {exc} ", file=sys.stderr)
+        print(f"solver failed at step {exc.step_index}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (TrigCollocError, OSError) as exc:
         # OSError: --out could not be written

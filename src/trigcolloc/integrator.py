@@ -271,14 +271,15 @@ class _Stepper:
         self._initial_sd = (self._pred.reshape(s, d), self._guess.reshape(s, d))
         # One work buffer.  Sweeps alternate between rows 0-1 and rows 2-3, each
         # pair holding (new - previous, new); rows 4-5 take their magnitudes,
-        # whose row maxima (residual, size) go to _size_res.  Each parity's rows,
-        # their two halves and new as (s, d) are prepared here: a sweep indexes once.
+        # whose row argmaxes go to _argmax and locate the residual and the size.
+        # Each parity's rows, their two halves and new as (s, d) are prepared
+        # here: a sweep indexes once.
         work = np.empty((6, n))
         self._sweep_bufs = tuple(
             (rows, rows[0], rows[1], rows[1].reshape(s, d)) for rows in (work[0:2], work[2:4])
         )
         self._magnitude = work[4:6]
-        self._size_res = np.empty(2)
+        self._argmax = np.empty(2, np.intp)
 
     def run(self, stage_times, q_out, p_out, iterations, residuals, first=0, start=None):
         """Run one step per (s, 1) stage-time column t_k + table.stage_offsets
@@ -304,10 +305,9 @@ class _Stepper:
         if warm:  # step 0's first iterate is then the product a warm start makes
             turns[0][3][...] = np.reshape(start, turns[0][3].shape)
         sweep_bufs = self._sweep_bufs
-        magnitude = self._magnitude
-        size_res = self._size_res
-        residual_and_size = size_res.tolist
-        maximum_reduce, subtract, absolute = np.maximum.reduce, np.subtract, np.abs
+        magnitude, argmax = self._magnitude, self._argmax
+        row_argmax, magnitude_at, argmax_pair = magnitude.argmax, magnitude.item, argmax.tolist
+        subtract, absolute = np.subtract, np.abs
         isfinite, contraction_max = math.isfinite, CONTRACTION_MAX
         force = self._force
         fixed_mode = self._fixed_mode
@@ -321,9 +321,14 @@ class _Stepper:
         # ndarray.dot(b, out) takes 0.45-0.65 us against 1.2-1.7 us for `@` or
         # np.matmul(..., out=), with the same bits, and a ufunc given out= or
         # axis= by keyword takes 0.1-0.2 us more than one given them by position
-        # (numpy 2.4, one BLAS thread).  Keep these forms, and the rule that a
-        # sweep looks up no global or attribute and builds no view: everything
-        # it calls or writes is bound to a local above or prepared in __init__.
+        # (numpy 2.4, one BLAS thread).  The residual and the size are read at
+        # their rows' argmaxes: on fpu's (2, 12) magnitudes that takes 0.5 us
+        # against 1.1-1.2 us for np.maximum.reduce and tolist (0.7 against 1.4 us
+        # at 2 x 1024).  A maximum does not round and argmax returns the index of
+        # the first NaN, so both forms give the same bits.  Keep these forms, and
+        # the rule that a sweep looks up no global or attribute and builds no
+        # view: everything it calls or writes is bound to a local above or
+        # prepared in __init__.
         for j, (stage_t, q_row, p_row) in enumerate(zip(stage_times, q_out[1:], p_out[1:])):
             yf, y, f1, forces, y_new, q_new, p_new, next_forces = turns[j & 1]
             predictor_dot(y, pred)
@@ -341,8 +346,9 @@ class _Stepper:
                 W_dot(f1, new)
                 subtract(new, stages, diff)
                 absolute(rows, magnitude)
-                maximum_reduce(magnitude, 1, None, size_res)
-                res, size = residual_and_size()
+                row_argmax(1, argmax)
+                i_res, i_size = argmax_pair()
+                res, size = magnitude_at(0, i_res), magnitude_at(1, i_size)
                 record(res)
                 if not isfinite(res):
                     if sweep == 1 and j and not np.isfinite(y).all():
@@ -423,8 +429,9 @@ def fixed_point_stages(
     pred = predictor @ [q; p]; an (s, d) force guess ``start`` makes it
     stage_matrix @ start + pred.  Each sweep evaluates the forces at the
     current stages into one (s, d) buffer F and sets the stages to
-    stage_matrix @ F + pred, one product (see _Stepper); one max-reduction
-    over |new - previous| and |new| gives the residual and the scaling size.
+    stage_matrix @ F + pred, one product (see _Stepper); the residual and
+    the scaling size are the largest entries of |new - previous| and |new|,
+    read at their argmaxes.
     In tolerance mode the stages are accepted by the residual test or the
     contraction test (see the module docstring).  A sweep whose residual is
     not finite raises StageIterationError with the residual history.  One

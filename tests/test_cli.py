@@ -455,7 +455,11 @@ def test_solver_failure_exits_with_code_3(capsys):
         "--tol", "1e-15", "--max-iter", "3",
     ])
     assert code == cli.EXIT_SOLVER
-    assert "solver failed at step" in capsys.readouterr().err
+    # the whole line, ending at the closing parenthesis
+    assert capsys.readouterr().err == (
+        "solver failed at step 0: stage iteration did not reach tol 1e-15 within"
+        " 3 sweeps (last residual 0.000527)\n"
+    )
 
 
 @pytest.mark.parametrize("t_end", ["4", "8"])
@@ -469,7 +473,10 @@ def test_solve_names_the_step_whose_update_is_not_finite(t_end, capsys):
     assert code == cli.EXIT_SOLVER
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("solver failed at step 0: the update gave a non-finite state")
+    assert err == (
+        "solver failed at step 0: the update gave a non-finite state after 5 sweeps"
+        " (last residual 4.49e+181)\n"
+    )
 
 
 def test_manifest_round_trip():

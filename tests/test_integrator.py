@@ -164,6 +164,42 @@ def test_nonfinite_stage_residual_fails_at_once(mode):
     assert "residual history" in str(err.value)
 
 
+@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_force_in_one_stage_component_fails_at_once(bad, component, vectorized):
+    # The force is finite before t = 0.35 and then turns bad in one element of
+    # F: the second stage of step 3 (Gauss-2 stage times 0.321, 0.379), in one
+    # component of a diagonal M, while the other component is far larger.  The
+    # sweep's product spreads it to every stage value (0 * NaN is NaN), and
+    # the residual, read at the argmax of |new - previous|, is not finite.
+    # That read relies on numpy putting the argmax at the first NaN, so that
+    # a NaN beside larger finite values still reads as NaN:
+    assert np.argmax([2.0, math.nan, 3.0]) == 1
+    h, t_bad = 0.1, 0.35
+    other = 1 - component
+
+    def force(t, q):
+        out = -0.1 * q
+        out[..., component] = np.where(np.ravel(t) > t_bad, bad, out[..., component])
+        return out
+
+    q0 = np.zeros(2)
+    q0[component], q0[other] = 1e-3, 10.0
+    ivp = OscillatoryIVP(
+        M=np.diag([1.0, 9.0]), force=force, q0=q0, p0=np.zeros(2), t_end=1.0,
+        vectorized=vectorized,
+    )
+    for mode in ("tolerance", "fixed"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(StageIterationError) as err:
+                it.solve(ivp, SolverConfig(h=h, iteration_mode=mode, max_iter=5))
+        assert err.value.step_index == 3
+        assert err.value.iterations == 1
+        assert not math.isfinite(err.value.residual)
+        assert "not finite at sweep 1" in str(err.value)
+
+
 def test_step_rejects_a_table_built_for_another_step():
     # the stage iteration alone does not use the table's h in an update
     ivp = build_problem("fpu").ivp
@@ -448,7 +484,7 @@ def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
         want_stages, want_iters, want_history, want_forces = per_sweep_stages(
             table, ivp, t, q0, p0, cfg, start=start
         )
-        # a max of |x| does not round, so one reduction changes no bit
+        # a max of |x| does not round, so reading it at the argmax changes no bit
         assert np.array_equal(stages, want_stages)
         assert (iters, history) == (want_iters, want_history)
         forces = it.step(table, ivp, t, q0, p0, cfg, start=start).forces
@@ -460,6 +496,45 @@ def test_stage_iteration_matches_per_sweep_formula_exactly(s, path, mode):
         if mode == "tolerance":
             bound = cfg.tol * (1.0 + np.abs(stages).max())
             assert (history[-1] <= bound) == (start is converged)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    nodes=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+    eigenvalues=st.lists(st.floats(0.0, 1e4), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 1.0),
+    h=st.floats(1e-3, 0.1),
+    warm=st.booleans(),
+    mode=st.sampled_from(["tolerance", "fixed"]),
+)
+def test_stage_iteration_matches_per_sweep_formula_on_random_nodes_and_spd(
+    d, nodes, eigenvalues, seed, a, h, warm, mode
+):
+    # s * d = 1 included: the residual's argmax then runs over one element
+    nodes = sorted(nodes)
+    assume(all(b - c >= 0.05 for c, b in zip(nodes, nodes[1:])))
+    ns = lg.build_node_set(nodes)
+    assume(it.check_contraction(ns, h, a) < 0.5)
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    M = (basis * eigenvalues[:d]) @ basis.T
+    M = 0.5 * (M + M.T)
+    ivp = OscillatoryIVP(
+        M=M, force=lambda t, q: -a * np.sin(q) + 0.1 * a * np.cos(t),
+        q0=rng.standard_normal(d), p0=rng.standard_normal(d), t_end=1.0,
+    )
+    table = cf.build_table(ns, M, h)
+    cfg = SolverConfig(h=h, iteration_mode=mode, max_iter=3 if mode == "fixed" else 50)
+    start = rng.standard_normal((ns.s, d)) if warm else None
+    t = 0.4
+    stages, iters, history = it.fixed_point_stages(table, ivp, t, ivp.q0, ivp.p0, cfg, start)
+    want_stages, want_iters, want_history, _ = per_sweep_stages(
+        table, ivp, t, ivp.q0, ivp.p0, cfg, start=start
+    )
+    assert np.array_equal(stages, want_stages)
+    assert (iters, history) == (want_iters, want_history)
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.45])
