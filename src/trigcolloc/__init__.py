@@ -25,11 +25,9 @@ from .errors import (
     TrigCollocError,
 )
 from .integrator import (
-    OrderEstimate,
     OscillatoryIVP,
     SolverConfig,
     Trajectory,
-    estimate_order,
     reference_solve,
     solve,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "InvalidNodesError",
     "NodeSet",
     "OracleUnreliableError",
-    "OrderEstimate",
     "OscillatoryIVP",
     "OutsidePeriodicityError",
     "PROBLEMS",
@@ -68,7 +65,6 @@ __all__ = [
     "build_problem",
     "build_table",
     "dispersion_dissipation",
-    "estimate_order",
     "gauss2",
     "gauss_nodes",
     "reference_solve",

@@ -571,14 +571,6 @@ def reference_solve(
     return fine
 
 
-@dataclass
-class OrderEstimate:
-    slope: float
-    step_sizes: np.ndarray
-    errors: np.ndarray
-    used: np.ndarray
-
-
 def endpoint_errors(
     ivp: OscillatoryIVP,
     step_sizes,
@@ -594,8 +586,15 @@ def endpoint_errors(
     Gauss-max(4, s) nodes: its order 2 max(4, s) is never below the order
     2s of the s-node set under test.  A refused reference is not retried;
     its OracleUnreliableError is re-raised, naming the nodes and substeps.
+    A step size that is not positive, or is given twice, is refused before
+    any solve: a repeated one repeats a row and makes the log-log fit
+    ill-conditioned.
     """
     hs = np.asarray(sorted(step_sizes, reverse=True), dtype=float)
+    repeated = hs[1:][hs[1:] == hs[:-1]]
+    if repeated.size:
+        raise ValueError(f"step size {repeated[0]} is given more than once")
+    configs = [replace(config, h=h) for h in hs]  # SolverConfig checks each h
     if reference is None:
         per_unit = int(math.ceil(8.0 / hs.min()))
         ref_nodes = lg.gauss_nodes(max(4, node_set.s))
@@ -614,40 +613,12 @@ def endpoint_errors(
     else:
         ref_q, ref_p = reference(ivp.t_end)
     errors = np.empty(hs.size)
-    for n, h in enumerate(hs):
-        traj = solve(ivp, replace(config, h=h), node_set=node_set)
+    for n, cfg in enumerate(configs):
+        traj = solve(ivp, cfg, node_set=node_set)
         errors[n] = max(
             np.abs(traj.q[-1] - ref_q).max(), np.abs(traj.p[-1] - ref_p).max()
         )
     return hs, errors
-
-
-def estimate_order(
-    ivp: OscillatoryIVP,
-    step_sizes,
-    reference: Callable[[float], tuple[np.ndarray, np.ndarray]] | Trajectory | None = None,
-    node_set: lg.NodeSet | None = None,
-) -> OrderEstimate:
-    """Least-squares slope of log(endpoint error) against log(h).
-
-    The errors and ``reference`` are endpoint_errors', with SolverConfig's
-    default tol and max_iter: with no reference given, one Gauss-max(4, s)
-    reference_solve, refused loudly rather than retried.  Errors at or
-    below ERROR_FLOOR are excluded from the fit; at least two points must
-    survive, else ValueError.
-    """
-    hs = sorted(step_sizes, reverse=True)
-    if len(hs) < 3:
-        raise ValueError(f"need at least 3 step sizes, got {len(hs)}")
-    ns = node_set if node_set is not None else lg.gauss2()
-    hs, errors = endpoint_errors(ivp, hs, reference, ns, SolverConfig(h=hs[0]))
-    slope, used = fit_order(hs, errors)
-    if slope is None:
-        raise ValueError(
-            f"only {int(used.sum())} errors above the floor {ERROR_FLOOR:.3g};"
-            " cannot fit a slope"
-        )
-    return OrderEstimate(slope=slope, step_sizes=hs, errors=errors, used=used)
 
 
 def fit_order(step_sizes, errors) -> tuple[float | None, np.ndarray]:

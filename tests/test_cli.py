@@ -20,6 +20,16 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def fpu_order(step_sizes, node_set=None):
+    """Errors and slope of fpu at omega 20 to t_end 1, measured as the
+    library measures an order: endpoint_errors, then fit_order."""
+    hs, errors = integrator.endpoint_errors(
+        build_problem("fpu", omega=20.0, t_end=1.0).ivp, step_sizes, None,
+        node_set or lg.gauss2(), integrator.SolverConfig(h=max(step_sizes)),
+    )
+    return errors, integrator.fit_order(hs, errors)[0]
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy takes longer to import than the whole package, and only the
     # quadrature oracle needs it; a fresh interpreter sees every import
@@ -86,6 +96,21 @@ def test_convergence_needs_three_step_sizes():
     with pytest.raises(SystemExit) as exc:
         run(["convergence", "--problem", "wave", "--h-list", "0.1,0.05"])
     assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_convergence_refuses_a_repeated_step_size(tmp_path, capsys):
+    # three solves of one h once wrote three equal rows and fit an order to them
+    out = tmp_path / "conv.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([
+            "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+            "--h-list", "0.1,0.1,0.1", "--out", str(out),
+        ])
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "error: step size 0.1 is given more than once" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_coeffs_needs_exactly_one_matrix_source():
@@ -334,21 +359,19 @@ def test_convergence_order_on_zero_force_fpu(tmp_path, capsys):
 
 
 def test_convergence_and_estimate_order_agree_on_fpu(tmp_path, capsys):
-    # the CLI and estimate_order share one driver and one reference solve,
-    # so both run and agree
+    # the CLI runs the library's order driver with one reference solve, so
+    # both run and agree
     out = tmp_path / "conv.csv"
     code = run([
         "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
         "--h-list", "0.1,0.05,0.025", "--out", str(out),
     ])
     assert code == cli.EXIT_OK
-    est = integrator.estimate_order(
-        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.1, 0.05, 0.025]
-    )
-    assert 3.8 <= est.slope <= 4.2
+    errors, slope = fpu_order([0.1, 0.05, 0.025])
+    assert 3.8 <= slope <= 4.2
     _, rows = read_csv(out)
-    assert [float(r[1]) for r in rows] == est.errors.tolist()
-    assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
+    assert [float(r[1]) for r in rows] == errors.tolist()
+    assert capsys.readouterr().err == f"least-squares order: {slope:.4f}\n"
 
 
 def test_convergence_of_one_node_method_is_second_order(tmp_path, capsys):
@@ -386,12 +409,10 @@ def test_convergence_on_a_coarse_step_list_matches_estimate_order(tmp_path, caps
         "--h-list", "0.4,0.2,0.1", "--out", str(out),
     ])
     assert code == cli.EXIT_OK
-    est = integrator.estimate_order(
-        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.4, 0.2, 0.1]
-    )
+    errors, slope = fpu_order([0.4, 0.2, 0.1])
     _, rows = read_csv(out)
-    assert [float(r[1]) for r in rows] == est.errors.tolist()
-    assert capsys.readouterr().err == f"least-squares order: {est.slope:.4f}\n"
+    assert [float(r[1]) for r in rows] == errors.tolist()
+    assert capsys.readouterr().err == f"least-squares order: {slope:.4f}\n"
 
 
 @pytest.mark.parametrize("argv, substeps", [
@@ -428,10 +449,7 @@ def test_convergence_solves_one_reference_with_gauss_max_4_s_nodes(monkeypatch):
     assert run([*fpu, "--h-list", "0.1,0.05,0.025", "--nodes", "0.5"]) == cli.EXIT_OK
     assert calls == [(320, 4)]
     calls.clear()
-    integrator.estimate_order(
-        build_problem("fpu", omega=20.0, t_end=1.0).ivp, [0.4, 0.2, 0.1],
-        node_set=lg.gauss_nodes(5),
-    )
+    fpu_order([0.4, 0.2, 0.1], node_set=lg.gauss_nodes(5))
     assert calls == [(80, 5)]
 
 
@@ -532,9 +550,11 @@ SOLVE_FPU = ["solve", "--problem", "fpu", "--h", "0.1", "--t-end", "0.5"]
     (["solve", "--problem", "fpu", "--n", "5", "--h", "0.1"], "problem 'fpu' takes no 'n'"),
     (["coeffs", "--problem", "satellite", "--n", "3", "--h", "0.1"],
      "problem 'satellite' takes no 'n'"),
+    (["convergence", "--problem", "fpu", "--t-end", "1", "--h-list", "0.1,0.05,0"],
+     "step size must be finite and > 0, got 0.0"),
 ], ids=["t-end-nan", "t-end-negative", "omega-nan", "max-iter-0", "tol-nan", "nodes-nan",
         "klein-gordon-n-0", "wave-n-1", "stability-nodes-nan", "fpu-omega-0",
-        "satellite-omega", "fpu-n", "coeffs-satellite-n"])
+        "satellite-omega", "fpu-n", "coeffs-satellite-n", "h-list-zero"])
 def test_bad_flag_values_are_usage_errors_without_traceback(argv, named, capsys):
     # each once ended in a traceback (exit 1) or a solver failure (exit 3)
     try:

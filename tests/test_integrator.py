@@ -1210,7 +1210,9 @@ def test_a_reference_refused_at_the_cap_names_the_substeps_it_tried(monkeypatch)
     monkeypatch.setattr(it, "REFERENCE_CHECK_TOL", 0.0)
     ivp = build_problem("fpu", t_end=0.1).ivp
     with pytest.raises(OracleUnreliableError) as err:
-        it.estimate_order(ivp, [0.05, 0.025, 0.0125])
+        it.endpoint_errors(
+            ivp, [0.05, 0.025, 0.0125], None, lg.gauss2(), SolverConfig(h=0.05)
+        )
     msg = str(err.value)
     assert "Gauss-4 reference refused at 640 substeps per unit" in msg
     assert "n_substeps_per_unit" not in msg
@@ -1234,20 +1236,39 @@ def test_estimate_order_midpoint_is_second_order():
         p0=np.array([0.0]),
         t_end=2.0,
     )
-    est = it.estimate_order(ivp, [0.1, 0.05, 0.025, 0.0125], node_set=ns)
-    assert 1.7 < est.slope < 2.3
+    hs, errors = it.endpoint_errors(
+        ivp, [0.1, 0.05, 0.025, 0.0125], None, ns, SolverConfig(h=0.1)
+    )
+    slope, _ = it.fit_order(hs, errors)
+    assert 1.7 < slope < 2.3
 
 
 def test_estimate_order_excludes_roundoff_errors():
+    # a linear problem is integrated exactly: every error is round-off
     ivp = linear_ivp(np.diag([1.0, 16.0]), [1.0, 0.3], [0.0, 0.1], 2.0)
-    with pytest.raises(ValueError, match="floor"):
-        it.estimate_order(ivp, [0.1, 0.05, 0.025])
+    hs, errors = it.endpoint_errors(
+        ivp, [0.1, 0.05, 0.025], None, lg.gauss2(), SolverConfig(h=0.1)
+    )
+    slope, used = it.fit_order(hs, errors)
+    assert slope is None
+    assert used.tolist() == [False, False, False]
 
 
-def test_estimate_order_needs_three_steps():
-    ivp = linear_ivp([[1.0]], [1.0], [0.0], 1.0)
-    with pytest.raises(ValueError):
-        it.estimate_order(ivp, [0.1, 0.05])
+@pytest.mark.parametrize("step_sizes, message", [
+    ([0.1, 0.05, 0.1], "step size 0.1 is given more than once"),
+    ([0.1, 0.05, 0.0], "step size must be finite and > 0, got 0.0"),
+], ids=["repeated", "zero"])
+def test_endpoint_errors_refuses_a_bad_step_list_before_any_solve(
+    monkeypatch, step_sizes, message
+):
+    # a repeated h once solved again, repeated its row and fit a garbage
+    # slope; h = 0 once overflowed in the reference's substep count
+    calls = []
+    monkeypatch.setattr(it, "solve", lambda *args, **kwargs: calls.append(args))
+    ivp = build_problem("fpu", omega=20.0, t_end=1.0).ivp
+    with pytest.raises(ValueError, match=message):
+        it.endpoint_errors(ivp, step_sizes, None, lg.gauss2(), SolverConfig(h=0.1))
+    assert calls == []
 
 
 def test_ivp_validation():
@@ -1323,3 +1344,23 @@ def test_stage_iteration_count_does_not_grow_with_the_stiffness(omega):
     iterations = it.solve(ivp, SolverConfig(h=0.01)).iterations
     assert iterations.mean() <= 2.1
     assert iterations.max() <= 3
+
+
+def test_stage_iteration_count_does_not_grow_under_grid_refinement():
+    # the same claim as the grid is refined: klein-gordon's ||M||_inf =
+    # 4 n^2 / 1.28^2 runs from 625 (n = 16) to 1.6e5 (n = 256)
+    cfg = SolverConfig(h=0.05)
+    norms = []
+    for n in (16, 32, 64, 128, 256):
+        ivp = build_problem("klein-gordon", n=n, t_end=1.0).ivp
+        norms.append(np.abs(ivp.M).sum(axis=1).max())
+        assert cf.build_table(lg.gauss2(), ivp.M, cfg.h).path == "spectral"
+        # registry data: the cold first step takes 5 sweeps, every warm one 3
+        assert it.solve(ivp, cfg).iterations.tolist() == [5] + [3] * 19
+        rng = np.random.default_rng(n)
+        rough = replace(ivp, q0=rng.uniform(-0.9, 0.9, n), p0=rng.uniform(-0.9, 0.9, n))
+        iterations = it.solve(rough, cfg).iterations
+        assert iterations.max() <= 5
+        assert iterations.mean() <= 4
+    assert norms[0] == pytest.approx(625.0)
+    assert norms[-1] == pytest.approx(1.6e5)
