@@ -14,7 +14,6 @@ stay importable from their modules.
 from .coeffs import CoefficientTable, build_table
 from .errors import (
     AsymmetricMatrixError,
-    ContractionGuardError,
     IndefiniteMatrixError,
     InvalidNodesError,
     OracleUnreliableError,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricMatrixError",
     "CoefficientTable",
-    "ContractionGuardError",
     "IndefiniteMatrixError",
     "InvalidNodesError",
     "NodeSet",

@@ -357,13 +357,11 @@ def main(argv=None) -> int:
     except StageIterationError as exc:
         print(f"solver failed at step {exc.step_index}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (TrigCollocError, OSError) as exc:
-        # OSError: --out could not be written
+    except (TrigCollocError, ValueError, OSError) as exc:
+        # ValueError: a range rule of the library; OSError: --out could not be
+        # written.  Each command writes only once its work is done.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # a range rule of the library; each command writes only once its work is done
-        parser.error(str(exc))
 
 
 if __name__ == "__main__":

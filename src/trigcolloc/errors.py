@@ -21,15 +21,13 @@ class SeriesConvergenceError(TrigCollocError, RuntimeError):
     """A power series failed its convergence guard or term budget."""
 
 
-class ContractionGuardError(TrigCollocError, RuntimeError):
-    """Step size violates the fixed-point contraction condition."""
-
-
 class StageIterationError(TrigCollocError, RuntimeError):
-    """Fixed-point stage iteration failed to reach tolerance.
+    """Fixed-point stage iteration failed.
 
-    Carries the last residual and, when raised from a grid sweep, the index
-    of the failing step.
+    Raised when the sweeps do not reach tolerance within max_iter, when a
+    stage residual is not finite, and when a step's update gives a
+    non-finite state.  Carries the last residual and, when raised from a
+    grid sweep, the index of the failing step.
     """
 
     def __init__(self, message, residual=None, iterations=None, step_index=None):

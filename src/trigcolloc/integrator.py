@@ -46,9 +46,9 @@ there the result depends on the first iterate, and a fixed number of
 sweeps from the predictor is the map that mode promises.
 
 Everything a step needs besides its arithmetic stays the same for a whole
-solve: the operators, the buffers and their views, the force in its
-batched form, and the contraction guard.  A private _Stepper holds them for
-one (table, ivp, cfg), and its ``run`` runs every step of a run in one loop:
+solve: the operators, the buffers and their views, and the force in its
+batched form.  A private _Stepper holds them for one (table, ivp, cfg), and
+its ``run`` runs every step of a run in one loop:
 the sweeps and both tests, the update as one product, the warm start, each
 step's sweep count and last residual, and the step index a failure names.
 ``solve`` makes two runs, its full steps and a trailing partial step, each
@@ -74,11 +74,7 @@ import numpy as np
 
 from . import lagrange as lg
 from .coeffs import CoefficientTable, build_table
-from .errors import (
-    ContractionGuardError,
-    OracleUnreliableError,
-    StageIterationError,
-)
+from .errors import OracleUnreliableError, StageIterationError
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAX_ITER = 50
@@ -105,10 +101,7 @@ REFERENCE_CHECK_TOL = 1e-10
 class OscillatoryIVP:
     """Second-order IVP q'' + M q = f(t, q) with optional diagnostics.
 
-    ``lipschitz``, a bound on the force Jacobian, turns on the contraction
-    guard: a step whose check_contraction factor is >= 1 then raises
-    ContractionGuardError.  ``hamiltonian`` (q, p) -> float gives the
-    trajectory its energy series.
+    ``hamiltonian`` (q, p) -> float gives the trajectory its energy series.
 
     ``vectorized`` declares the callbacks' signature.  False (default):
     ``force(t, q)`` gets a float t and a d-vector q and returns a d-vector,
@@ -124,7 +117,6 @@ class OscillatoryIVP:
     q0: np.ndarray
     p0: np.ndarray
     t_end: float
-    lipschitz: float | None = None
     hamiltonian: Callable[[np.ndarray, np.ndarray], float] | None = None
     vectorized: bool = False
 
@@ -202,8 +194,17 @@ class Trajectory:
 
 
 def check_contraction(ns: lg.NodeSet, h: float, lipschitz: float) -> float:
-    """Contraction factor h^2 * L * max_ij int |l_j(c_i z)(1-z)| dz."""
-    return h * h * lipschitz * ns.weight_bound
+    """Contraction factor h^2 * L * max_ij int |l_j(c_i z)(1-z)| dz.
+
+    For a force whose Jacobian is bounded by L, a factor below 1 makes the
+    stage iteration a contraction whatever M is.  The condition is
+    sufficient, not necessary: for f = 50 q, M = 1 and Gauss-2 at h = 0.3
+    the factor is 2.80, yet the iteration converges in about 18 sweeps per
+    step, since 50 * stage_matrix has spectral radius 0.216 there.  No step
+    is refused on it; a stage iteration that does not converge raises
+    StageIterationError with the step index and the residual history.
+    """
+    return h * h * lipschitz * lg.abs_weight_bound(ns)
 
 
 def _batched_force(force: Callable[[float, np.ndarray], np.ndarray]):
@@ -223,9 +224,9 @@ class _Stepper:
     """The steps of one (table, ivp, cfg): operators, buffers and checks.
 
     Everything that stays the same from step to step is done here once: the
-    contraction guard, the batched form of the force, and the allocation of
-    every buffer and view a step writes.  ``run`` then runs a whole run of
-    steps in one loop that does only the arithmetic of the module docstring.
+    batched form of the force and the allocation of every buffer and view a
+    step writes.  ``run`` then runs a whole run of steps in one loop that
+    does only the arithmetic of the module docstring.
     The table must be built for cfg.h, as solve's are; step checks its
     caller's.
 
@@ -241,15 +242,7 @@ class _Stepper:
     """
 
     def __init__(self, table: CoefficientTable, ivp: OscillatoryIVP, cfg: SolverConfig):
-        h = cfg.h
         ns = table.node_set
-        if ivp.lipschitz is not None:
-            factor = check_contraction(ns, h, ivp.lipschitz)
-            if factor >= 1.0:
-                raise ContractionGuardError(
-                    f"contraction factor {factor:.3g} >= 1 at h = {h:.3g};"
-                    " reduce the step"
-                )
         s, d = ns.s, table.dim
         n = s * d
         self.table = table

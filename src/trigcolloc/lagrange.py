@@ -56,12 +56,6 @@ class NodeSet:
         object.__setattr__(self, "scales", np.concatenate(([1.0], self.nodes)))
 
     @functools.cached_property
-    def weight_bound(self) -> float:
-        """abs_weight_bound of the set, computed on first use (it costs
-        several times a build_node_set, which most callers never need)."""
-        return abs_weight_bound(self)
-
-    @functools.cached_property
     def extrapolation(self) -> np.ndarray:
         """(s, s) matrix E with E[i, j] = l_j(1 + c_i), computed on first use.
 

@@ -101,14 +101,15 @@ def test_convergence_needs_three_step_sizes():
 def test_convergence_refuses_a_repeated_step_size(tmp_path, capsys):
     # three solves of one h once wrote three equal rows and fit an order to them
     out = tmp_path / "conv.csv"
-    with pytest.raises(SystemExit) as exc:
-        run([
-            "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
-            "--h-list", "0.1,0.1,0.1", "--out", str(out),
-        ])
-    assert exc.value.code == cli.EXIT_USAGE
+    code = run([
+        "convergence", "--problem", "fpu", "--omega", "20", "--t-end", "1",
+        "--h-list", "0.1,0.1,0.1", "--out", str(out),
+    ])
+    assert code == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "error: step size 0.1 is given more than once" in captured.err
+    # a library rule is reported in the one format, without argparse's usage line
+    assert captured.err.startswith("error: ") and "usage:" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -292,17 +293,25 @@ def test_stability_to_stdout_writes_the_bytes_of_out(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+# windows that break a range rule of the library, not argparse's flag syntax
+LIBRARY_RULE_WINDOWS = ["--grid=1x5", "--grid=5x1", "--v-range=-1,5", "--v-range=0,-1"]
+
+
 @pytest.mark.parametrize(
     "flag",
-    ["--grid=1x5", "--grid=5x1", "--v-range=-1,5", "--v-range=0,-1",
-     "--v-range=0,nan", "--v-range=0,1e400", "--z-range=-inf,0", "--z-range=0,nan"],
+    LIBRARY_RULE_WINDOWS
+    + ["--v-range=0,nan", "--v-range=0,1e400", "--z-range=-inf,0", "--z-range=0,nan"],
 )
 def test_stability_rejects_bad_windows_with_usage_code(flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["stability", flag])
-    assert exc.value.code == cli.EXIT_USAGE
+    try:
+        code = run(["stability", flag])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    if flag in LIBRARY_RULE_WINDOWS:
+        assert captured.err.startswith("error: ") and "usage:" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,10 +87,9 @@ def test_derivative_beyond_degree_is_zero():
         assert lg.eval_basis_derivative(ns, 1, k, 0.37) == 0.0
 
 
-def test_node_set_stores_derivatives_and_weight_bound():
+def test_node_set_stores_derivatives():
     rng = np.random.default_rng(RNG_SEED)
     for ns in (lg.gauss2(), lg.build_node_set([0.2, 0.5, 0.9]), lg.gauss_nodes(6)):
-        assert ns.weight_bound == lg.abs_weight_bound(ns)
         for j in range(ns.s):
             for k in range(ns.s):
                 der = npoly.polyder(ns.basis_coeffs[j], m=k)
